@@ -20,6 +20,7 @@ from .algebra import (
 )
 from .expansions import (
     ExpansionResult,
+    cumulant_states,
     g_expansion,
     k_expansion,
     reorder,
@@ -41,6 +42,7 @@ __all__ = [
     "parse_poly",
     "wedderburn_etherington",
     "ExpansionResult",
+    "cumulant_states",
     "g_expansion",
     "k_expansion",
     "reorder",

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -295,17 +295,11 @@ def tree_value(
     t: float,
     T: float,
     n_steps: int = 1024,
-    _h_cache: Optional[Dict[str, HFunction]] = None,
 ) -> float:
     """Quadrature of xi_t(u) h(T-u) over [t, T] on the h-grid (trapezoid)."""
     if not T > t:
         raise ValueError("need t < T")
-    cache_key = tree.shape
-    h = None if _h_cache is None else _h_cache.get(cache_key)
-    if h is None:
-        h = tree_h(tree, kernel, rho, delta, horizon=T - t, n_steps=n_steps)
-        if _h_cache is not None:
-            _h_cache[cache_key] = h
+    h = tree_h(tree, kernel, rho, delta, horizon=T - t, n_steps=n_steps)
     xi = curve(T - h.grid)
     return float(np.trapezoid(xi * h.values, h.grid))
 
@@ -533,12 +527,11 @@ def spx_expansion_value(
 
     ``orders_forests`` maps order k to the two-leaf-type forest whose
     coefficients are polynomials in the symbols a, b, c; each tree value is
-    the convolution-form quadrature, cached per tree shape.
+    the convolution-form quadrature.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
     bindings = {"a": a, "b": b, "c": c}
-    cache: Dict[str, HFunction] = {}
     total = a * x + c * zeta
     for k in sorted(orders_forests):
         if k > order:
@@ -547,7 +540,5 @@ def spx_expansion_value(
             coeff = poly.evaluate(bindings)
             if coeff == 0.0:
                 continue
-            total += float(coeff) * tree_value(
-                tree, kernel, rho, delta, curve, t, T, n_steps=n_steps, _h_cache=cache
-            )
+            total += float(coeff) * tree_value(tree, kernel, rho, delta, curve, t, T, n_steps)
     return total

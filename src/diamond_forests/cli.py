@@ -27,7 +27,7 @@ from .affine import (
     riccati_residual,
     solve_riccati,
 )
-from .algebra import Tree, parse_poly
+from .algebra import Tree, format_fraction, parse_poly
 from .errors import DomainError
 from .expansions import g_expansion, k_expansion, spx_g_expansion, specialize
 from .mc import SimConfig, empirical_cumulants, empirical_mgf, simulate
@@ -62,15 +62,11 @@ class UsageError(Exception):
 
 def _jsonable(value):
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(
-            value.numerator
-        )
+        return format_fraction(value)
     if isinstance(value, Tree):
         return value.diamond_text()
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
+    if isinstance(value, np.generic):
+        return _jsonable(value.item())
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, dict):

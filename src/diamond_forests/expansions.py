@@ -1,15 +1,26 @@
 """Forest expansions of conditional cumulant generating functions.
 
-Two quadratic recursions generate everything here, with exact polynomial
-coefficients:
+One quadratic recursion generates everything here, over any state family
+closed under addition, rational scaling and the commutative diamond product
+(formal forests with exact polynomial coefficients, the Levy J-family, chaos2
+kernels).  :func:`cumulant_states` takes seed states for the lowest orders and
+an optional list of linear branches ``(s, c)``; above the seeds it forms
+
+    X[m] = sum_{j<k, j+k=m} X[j] <> X[k] + 1/2 X[m/2] <> X[m/2]
+           + sum_branches c * (s <> X[m-1]),
+
+visiting each unordered pair {j, k} once instead of summing every ordered
+pair and halving.  The expansions are configurations of it:
 
 * the cumulant recursion ``K[1] = sum of leaves``,
   ``K[n+1] = 1/2 * sum_{k=1..n} K[k] <> K[n+1-k]`` — ``n! * K[n]`` is the
-  n-th conditional cumulant of the terminal value;
+  n-th conditional cumulant of the terminal value (seed ``{1: K[1]}``, no
+  branches);
 * the joint-CGF recursion ``G[2] = (a^2/2 + b) * (Y<>Y)``,
   ``G[k] = 1/2 * sum_{j=2..k-2} G[k-j] <> G[j] + a * (Y <> G[k-1])`` for the
-  pair (martingale, its quadratic variation), plus a three-parameter variant
-  with a second leaf ``zeta`` for a forward-curve functional.
+  pair (martingale, its quadratic variation) (seed ``{2: G[2]}``, branch
+  ``(Y, a)``), plus a three-parameter variant with a second leaf ``zeta`` for
+  a forward-curve functional (branches ``(Y, a)`` and ``(zeta, c)``).
 
 ``reorder`` connects the two: running the two-letter cumulant recursion over
 ``{Y, QV}``, substituting the QV leaf by the two-leaf cherry ``(Y,Y)`` and
@@ -20,12 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from .algebra import Forest, Poly, PolyLike, join, leaf
 
 __all__ = [
     "ExpansionResult",
+    "cumulant_states",
     "k_expansion",
     "g_expansion",
     "spx_g_expansion",
@@ -71,6 +83,42 @@ def _check_order(max_order: int, low: int) -> None:
         raise ValueError(f"max_order {max_order} exceeds cap {DEFAULT_MAX_ORDER_CAP}")
 
 
+def cumulant_states(
+    seeds: Mapping[int, Any],
+    n_max: int,
+    branches: Sequence[Tuple[Any, Any]] = (),
+) -> Dict[int, Any]:
+    """Run the cumulant recursion over any diamond-closed state family.
+
+    States need ``+``, ``scale(q)`` and a commutative ``diamond``.  Orders up
+    to ``max(seeds)`` are the seeds themselves; every higher order m is the
+    sum over unordered pairs j <= k with j + k = m (both at least the lowest
+    seed order), the diagonal pair weighted by 1/2, plus ``c * (s <> X[m-1])``
+    for each branch ``(s, c)``.
+
+    Args:
+        seeds: order -> state for the consecutive lowest orders.
+        n_max: highest order to generate.
+        branches: linear terms ``(state, scalar)`` added at every order.
+
+    Returns:
+        dict order -> state for the seed orders and every order up to ``n_max``.
+    """
+    low = min(seeds)
+    states: Dict[int, Any] = dict(seeds)
+    zero = states[low].scale(0)
+    for m in range(max(seeds) + 1, n_max + 1):
+        acc = zero
+        for j in range(low, (m + 1) // 2):
+            acc = acc + states[j].diamond(states[m - j])
+        if m % 2 == 0 and m // 2 >= low:
+            acc = acc + states[m // 2].diamond(states[m // 2]).scale(HALF)
+        for s, c in branches:
+            acc = acc + s.diamond(states[m - 1]).scale(c)
+        states[m] = acc
+    return states
+
+
 def k_expansion(
     max_order: int,
     alphabet: Sequence[str] = ("Y",),
@@ -109,12 +157,7 @@ def k_expansion(
     else:
         k1 = Forest.of(leaf(labels[0]), 1)
 
-    orders: Dict[int, Forest] = {1: k1}
-    for n in range(1, max_order):
-        acc = Forest.zero()
-        for k in range(1, n + 1):
-            acc = acc + orders[k].diamond(orders[n + 1 - k])
-        orders[n + 1] = acc.scale(HALF)
+    orders = cumulant_states({1: k1}, max_order)
     return ExpansionResult(kind="K", alphabet=labels, symbols=syms, orders=orders)
 
 
@@ -128,17 +171,8 @@ def g_expansion(max_order: int) -> ExpansionResult:
     a = Poly.symbol("a")
     b = Poly.symbol("b")
     y = leaf("Y")
-    cherry = Forest.of(join(y, y))
-    g2_coeff = a * a * HALF + b
-    orders: Dict[int, Forest] = {2: cherry.scale(g2_coeff)}
-    y_forest = Forest.of(y)
-    for k in range(3, max_order + 1):
-        acc = Forest.zero()
-        for j in range(2, k - 1):
-            acc = acc + orders[k - j].diamond(orders[j])
-        acc = acc.scale(HALF)
-        acc = acc + y_forest.diamond(orders[k - 1]).scale(a)
-        orders[k] = acc
+    g2 = Forest.of(join(y, y), a * a * HALF + b)
+    orders = cumulant_states({2: g2}, max_order, [(Forest.of(y), a)])
     return ExpansionResult(kind="G", alphabet=("Y",), symbols=("a", "b"), orders=orders)
 
 
@@ -164,17 +198,7 @@ def spx_g_expansion(max_order: int) -> ExpansionResult:
         + Forest.of(join(y, z), a * c)
         + Forest.of(join(z, z), c * c * HALF)
     )
-    orders: Dict[int, Forest] = {2: g2}
-    y_forest = Forest.of(y)
-    z_forest = Forest.of(z)
-    for k in range(3, max_order + 1):
-        acc = Forest.zero()
-        for j in range(2, k - 1):
-            acc = acc + orders[k - j].diamond(orders[j])
-        acc = acc.scale(HALF)
-        acc = acc + y_forest.diamond(orders[k - 1]).scale(a)
-        acc = acc + z_forest.diamond(orders[k - 1]).scale(c)
-        orders[k] = acc
+    orders = cumulant_states({2: g2}, max_order, [(Forest.of(y), a), (Forest.of(z), c)])
     return ExpansionResult(
         kind="SPXG", alphabet=("Y", "zeta"), symbols=("a", "b", "c"), orders=orders
     )

@@ -1,8 +1,9 @@
 """Model algebras: families of evaluated diamond-tree states.
 
 Each submodule provides a state type closed under the diamond product for a
-concrete process, so the generic cumulant recursion from :mod:`.base` can be
-run with exact or grid-discretized states instead of formal trees:
+concrete process, so the cumulant recursion
+:func:`diamond_forests.expansions.cumulant_states` can be run with exact or
+grid-discretized states instead of formal trees:
 
 * :mod:`.brownian` — Brownian motion with drift; stopped Brownian motion.
 * :mod:`.levy` — planar Brownian area via the closed J-family.
@@ -12,7 +13,6 @@ run with exact or grid-discretized states instead of formal trees:
 * :mod:`.chaos2` — second Wiener chaos kernels on a simplex grid.
 """
 
-from .base import ModelAlgebra, cumulant_states
 from .brownian import brownian_drift_cumulants, stopped_bm_cgf
 from .levy import LevyState, levy_alpha, levy_cgf, levy_cumulant_states, levy_state_value
 from .signature import (
@@ -41,8 +41,6 @@ from .chaos2 import (
 )
 
 __all__ = [
-    "ModelAlgebra",
-    "cumulant_states",
     "brownian_drift_cumulants",
     "stopped_bm_cgf",
     "LevyState",

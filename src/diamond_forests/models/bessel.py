@@ -63,10 +63,6 @@ class BesselGamma:
     gammas: Dict[int, np.ndarray]
     dirac: bool
 
-    def psi(self, lam: float) -> np.ndarray:
-        """Plain partial sum of psi on the grid (no acceleration)."""
-        return psi_series(self, lam)
-
 
 def _cumtrapz_from_right(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """int_s^T f(r) dr on the grid by composite trapezoid, zero at T."""

@@ -28,19 +28,16 @@ from typing import Callable, List
 
 import numpy as np
 
+from ..expansions import cumulant_states
+
 __all__ = [
     "Chaos2State",
-    "Chaos2Algebra",
     "chaos2_diamond",
     "chaos2_cumulants",
     "eigenvalue_cumulants",
     "constant_kernel",
     "kernel_from_function",
 ]
-
-from fractions import Fraction
-
-from .base import ModelAlgebra, cumulant_states
 
 
 @dataclass(frozen=True)
@@ -78,6 +75,18 @@ class Chaos2State:
                 f"grid mismatch: ({self.M}, T={self.T}) vs ({other.M}, T={other.T})"
             )
 
+    def __add__(self, other: "Chaos2State") -> "Chaos2State":
+        self._check_grid(other)
+        return Chaos2State(
+            kernel=self.kernel + other.kernel, scalar=self.scalar + other.scalar, T=self.T
+        )
+
+    def scale(self, q) -> "Chaos2State":
+        return Chaos2State(kernel=self.kernel * float(q), scalar=self.scalar * float(q), T=self.T)
+
+    def diamond(self, other: "Chaos2State") -> "Chaos2State":
+        return chaos2_diamond(self, other)
+
 
 def constant_kernel(T: float, M: int, value: float = 1.0) -> Chaos2State:
     """State with f == value on the simplex (zero deterministic part)."""
@@ -112,28 +121,6 @@ def chaos2_diamond(s1: Chaos2State, s2: Chaos2State) -> Chaos2State:
     return Chaos2State(kernel=kernel, scalar=scalar, T=s1.T)
 
 
-class Chaos2Algebra(ModelAlgebra):
-    """Model algebra over chaos states sharing one fixed grid."""
-
-    def __init__(self, T: float, M: int):
-        self.T, self.M_ = T, M
-
-    def zero(self) -> Chaos2State:
-        return Chaos2State(kernel=np.zeros((self.M_, self.M_)), scalar=0.0, T=self.T)
-
-    def add(self, s1: Chaos2State, s2: Chaos2State) -> Chaos2State:
-        s1._check_grid(s2)
-        return Chaos2State(
-            kernel=s1.kernel + s2.kernel, scalar=s1.scalar + s2.scalar, T=s1.T
-        )
-
-    def scale(self, s: Chaos2State, q: Fraction) -> Chaos2State:
-        return Chaos2State(kernel=s.kernel * float(q), scalar=s.scalar * float(q), T=s.T)
-
-    def diamond(self, s1: Chaos2State, s2: Chaos2State) -> Chaos2State:
-        return chaos2_diamond(s1, s2)
-
-
 def chaos2_cumulants(f: Chaos2State, n_max: int) -> List[float]:
     """Cumulants of I_2(f) via the recursion: entry n-1 holds kappa_n = n! * scalar.
 
@@ -142,9 +129,8 @@ def chaos2_cumulants(f: Chaos2State, n_max: int) -> List[float]:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    algebra = Chaos2Algebra(T=f.T, M=f.M)
     first = Chaos2State(kernel=f.kernel, scalar=0.0, T=f.T)
-    states = cumulant_states(algebra, first, n_max)
+    states = cumulant_states({1: first}, n_max)
     return [factorial(n) * states[n].scalar for n in range(1, n_max + 1)]
 
 

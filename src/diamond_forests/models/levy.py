@@ -25,11 +25,10 @@ from math import pi
 from typing import Dict, Mapping
 
 from ..errors import DomainError
-from .base import ModelAlgebra, cumulant_states
+from ..expansions import cumulant_states
 
 __all__ = [
     "LevyState",
-    "LevyAlgebra",
     "levy_alpha",
     "levy_cgf",
     "levy_cumulant_states",
@@ -39,7 +38,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LevyState:
-    """Exact element of span{A, J^2, J^3, ...}.
+    """Exact element of span{A, J^2, J^3, ...}, closed under the diamond.
 
     ``area``: coefficient of the area functional itself (the order-1 leaf);
     ``coeffs``: map k -> coefficient of J^k (k >= 2).
@@ -65,33 +64,26 @@ class LevyState:
     def is_zero(self) -> bool:
         return self.area == 0 and not self.coeffs
 
-
-class LevyAlgebra(ModelAlgebra):
-    """Diamond algebra on the closed (A, J^k) family; everything exact."""
-
-    def zero(self) -> LevyState:
-        return LevyState()
-
-    def add(self, s1: LevyState, s2: LevyState) -> LevyState:
-        coeffs = dict(s1.coeffs)
-        for k, c in s2.coeffs.items():
+    def __add__(self, other: "LevyState") -> "LevyState":
+        coeffs = dict(self.coeffs)
+        for k, c in other.coeffs.items():
             coeffs[k] = coeffs.get(k, Fraction(0)) + c
-        return LevyState(area=s1.area + s2.area, coeffs=coeffs)
+        return LevyState(area=self.area + other.area, coeffs=coeffs)
 
-    def scale(self, s: LevyState, q: Fraction) -> LevyState:
+    def scale(self, q) -> "LevyState":
         q = Fraction(q)
         return LevyState(
-            area=s.area * q, coeffs={k: c * q for k, c in s.coeffs.items()}
+            area=self.area * q, coeffs={k: c * q for k, c in self.coeffs.items()}
         )
 
-    def diamond(self, s1: LevyState, s2: LevyState) -> LevyState:
+    def diamond(self, other: "LevyState") -> "LevyState":
         # A <> A = 2 J^2;  A <> J^k = 0;  J^j <> J^k = 2/(j+k-1) J^{j+k}
         coeffs: Dict[int, Fraction] = {}
-        aa = s1.area * s2.area
+        aa = self.area * other.area
         if aa:
-            coeffs[2] = coeffs.get(2, Fraction(0)) + 2 * aa
-        for j, cj in s1.coeffs.items():
-            for k, ck in s2.coeffs.items():
+            coeffs[2] = 2 * aa
+        for j, cj in self.coeffs.items():
+            for k, ck in other.coeffs.items():
                 c = cj * ck * Fraction(2, j + k - 1)
                 coeffs[j + k] = coeffs.get(j + k, Fraction(0)) + c
         return LevyState(coeffs=coeffs)
@@ -99,7 +91,9 @@ class LevyAlgebra(ModelAlgebra):
 
 def levy_cumulant_states(n_max: int) -> Dict[int, LevyState]:
     """States K[1..n_max] of the cumulant recursion started from the area leaf."""
-    return cumulant_states(LevyAlgebra(), LevyState(area=Fraction(1)), n_max)
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    return cumulant_states({1: LevyState(area=Fraction(1))}, n_max)
 
 
 def levy_alpha(n_max: int) -> Dict[int, Fraction]:

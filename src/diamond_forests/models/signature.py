@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Tuple
 
+from ..algebra import format_fraction
+
 __all__ = [
     "shuffle",
     "fawcett_sigma",
@@ -167,9 +169,7 @@ class SigExpr:
             power = str(p // 2) if p % 2 == 0 else f"{p}/2"
             out.append(
                 {
-                    "coeff": f"{c.numerator}/{c.denominator}"
-                    if c.denominator != 1
-                    else str(c.numerator),
+                    "coeff": format_fraction(c),
                     "words": list(words),
                     "dt_power": power,
                 }

@@ -247,13 +247,12 @@ def test_criterion_10_heston_cross_validation():
         6, expansion.orders, kern, rho, a, b, c, delta, curve, 0.0, 0.0, 0.0, 1.0, n_steps=4096
     )
     bindings = {"a": a, "b": b, "c": c}
-    cache = {}
     term7 = 0.0
     for tree, poly in expansion.orders[7]:
         coeff = poly.evaluate(bindings)
         if coeff:
             term7 += float(coeff) * tree_value(
-                tree, kern, rho, delta, curve, 0.0, 1.0, n_steps=4096, _h_cache=cache
+                tree, kern, rho, delta, curve, 0.0, 1.0, n_steps=4096
             )
     gap6 = abs(approx6 - truth)
     ok = z <= 3.0 and gap6 <= abs(term7) and not est.tail_warning

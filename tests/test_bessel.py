@@ -12,6 +12,7 @@ from diamond_forests.models.bessel import (
     bessel_laplace,
     bessel_laplace_series,
     euler_average,
+    psi_series,
 )
 
 
@@ -52,7 +53,7 @@ def test_psi_series_vs_ode_smooth_weight():
         return 1.0 + 0.5 * s
 
     st = bessel_gamma(24, mu, 0.0, T, grid=4096)
-    psi = st.psi(lam)
+    psi = psi_series(st, lam)
     sol = solve_ivp(
         lambda s, y: 2.0 * lam * mu(s) - y[0] ** 2,
         [T, 0.0],

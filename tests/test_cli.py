@@ -229,6 +229,20 @@ def test_verify_reorder_passes():
     assert all(c["passed"] for c in doc["result"]["checks"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "bessel", "--paths", "2000"],
+        ["verify", "mc-cross", "--paths", "2000", "--steps", "16"],
+    ],
+)
+def test_verify_monte_carlo_suites_serialize(argv):
+    # Check.passed is a numpy bool for the MC checks; it must render as JSON
+    doc = run_json(argv)
+    assert doc["result"]["passed"] is True
+    assert all(c["passed"] is True for c in doc["result"]["checks"])
+
+
 def test_verify_failure_sets_exit_code(monkeypatch):
     def failing_suite():
         return SuiteReport("reorder", [Check("forced failure", 1.0, 0.0)])

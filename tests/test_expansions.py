@@ -1,11 +1,15 @@
 """Tests for the K / G / SPX-G expansion recursions and reordering."""
 
+import hashlib
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
+from diamond_forests import cli
 from diamond_forests.algebra import Forest, Poly, catalan, join, leaf, parse_poly
 from diamond_forests.expansions import (
+    cumulant_states,
     g_expansion,
     k_expansion,
     reorder,
@@ -28,6 +32,66 @@ H = Fraction(1, 2)
 
 def frac_forest(pairs):
     return Forest({t: Fraction(c) for t, c in pairs})
+
+
+# --- the recursion engine --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Num:
+    """A rational number as a diamond-closed state: the diamond multiplies."""
+
+    x: Fraction
+
+    def __add__(self, other):
+        return Num(self.x + other.x)
+
+    def scale(self, q):
+        return Num(self.x * q)
+
+    def diamond(self, other):
+        return Num(self.x * other.x)
+
+
+def test_engine_scalar_states_give_halved_catalan_numbers():
+    states = cumulant_states({1: Num(Fraction(1))}, 10)
+    assert sorted(states) == list(range(1, 11))
+    for n, s in states.items():
+        assert s.x * 2 ** (n - 1) == catalan(n - 1)
+
+
+def test_engine_branch_and_seed_orders():
+    # X[2] = 1, X[m] = 1/2 sum_{j=2}^{m-2} X[j] X[m-j] + 3 X[m-1]
+    states = cumulant_states({2: Num(Fraction(1))}, 6, [(Num(Fraction(3)), 1)])
+    assert [states[m].x * 2 for m in range(2, 7)] == [2, 6, 19, 63, 217]
+
+
+def test_k_expansion_visits_each_unordered_pair_once(monkeypatch):
+    calls = []
+    original = Forest.diamond
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Forest, "diamond", counting)
+    k_expansion(12)
+    # sum_{m=2}^{12} floor(m/2) unordered pairs, against 66 ordered ones
+    assert len(calls) == 36
+
+
+@pytest.mark.parametrize(
+    "kind, order, digest",
+    [
+        ("K", 12, "2a22074354984b17cd31872f1c97cf349234add00d652877828907c76b90c516"),
+        ("G", 10, "5d1697f4f680b2816bb7a230907abd6d62b3317ee8e228c98835ffbfe09a711c"),
+        ("SPX", 8, "d3bc1c5418ae81d30220a5b9914805ecdc775f8db37ddecf35596d16940b8549"),
+    ],
+)
+def test_expand_output_is_pinned(kind, order, digest):
+    out, code = cli.run(["expand", "--kind", kind, "--order", str(order)])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 # --- K expansion ---------------------------------------------------------------

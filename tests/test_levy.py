@@ -12,7 +12,6 @@ from diamond_forests.models.brownian import (
     stopped_bm_cgf,
 )
 from diamond_forests.models.levy import (
-    LevyAlgebra,
     LevyState,
     levy_alpha,
     levy_cgf,
@@ -133,14 +132,13 @@ def test_stopped_bm_cgf_rejects_bad_barrier():
 
 
 def test_j_product_rule_on_random_samples():
-    algebra = LevyAlgebra()
     rng = np.random.default_rng(42)
     for _ in range(50):
         j = int(rng.integers(2, 7))
         k = int(rng.integers(2, 7))
         sj = LevyState(area=Fraction(0), coeffs={j: Fraction(1)})
         sk = LevyState(area=Fraction(0), coeffs={k: Fraction(1)})
-        prod = algebra.diamond(sj, sk)
+        prod = sj.diamond(sk)
         target = LevyState(
             area=Fraction(0), coeffs={j + k: Fraction(2, j + k - 1)}
         )
@@ -153,9 +151,8 @@ def test_j_product_rule_on_random_samples():
 
 
 def test_area_diamond_area():
-    algebra = LevyAlgebra()
     a = LevyState(area=Fraction(1), coeffs={})
-    prod = algebra.diamond(a, a)
+    prod = a.diamond(a)
     assert prod == LevyState(area=Fraction(0), coeffs={2: Fraction(2)})
     # at t: J^2 = (T-t)^2/2 + (x^2+y^2)(T-t)/2, so A<>A = (T-t)^2 + (x^2+y^2)(T-t)
     v = levy_state_value(prod, 0.5, 1.5, 1.0, 2.0, 0.3)
@@ -163,10 +160,9 @@ def test_area_diamond_area():
 
 
 def test_area_diamond_j_vanishes():
-    algebra = LevyAlgebra()
     a = LevyState(area=Fraction(1), coeffs={})
     jk = LevyState(area=Fraction(0), coeffs={4: Fraction(3, 7)})
-    assert algebra.diamond(a, jk).is_zero()
+    assert a.diamond(jk).is_zero()
 
 
 def test_levy_alpha_low_orders():
