@@ -36,7 +36,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 from .algebra import Forest, Tree
-from .errors import DomainError, SolverError
+from .errors import DomainError
 
 __all__ = [
     "KernelSpec",
@@ -58,8 +58,6 @@ PRICE_LEAF_LABELS = frozenset({"X", "Y"})
 ZETA_LEAF_LABELS = frozenset({"zeta"})
 
 GROWTH_BOUND = 1.0e3
-NEWTON_TOL = 1.0e-12
-NEWTON_MAX_ITER = 50
 
 
 # ---------------------------------------------------------------------------
@@ -351,30 +349,17 @@ def _riccati_march(
         P = float(np.dot(A[:j], g[j - 1 :: -1])) + float(
             np.dot(B[1:j], g[j - 1 : 0 : -1])
         )
-        base = q[j] + P
-        x = 2.0 * g[j - 1] - g[j - 2] if j >= 2 else g[0]
-        fx = C + 0.5 * (base + B[0] * x) ** 2 - x
-        converged = False
-        for _ in range(NEWTON_MAX_ITER):
-            if abs(fx) <= NEWTON_TOL * max(1.0, abs(x)):
-                converged = True
-                break
-            dfx = B[0] * (base + B[0] * x) - 1.0
-            if dfx == 0.0:
-                break
-            step = fx / dfx
-            x_new = x - step
-            f_new = C + 0.5 * (base + B[0] * x_new) ** 2 - x_new
-            while abs(f_new) > abs(fx) and abs(step) > 1e-300:
-                step *= 0.5
-                x_new = x - step
-                f_new = C + 0.5 * (base + B[0] * x_new) ** 2 - x_new
-            x, fx = x_new, f_new
-        if not converged and abs(fx) > NEWTON_TOL * max(1.0, abs(x)):
-            raise SolverError(
-                f"per-step solve failed to converge at step {j} "
-                f"(tau = {grid[j]:.6g}, residual = {fx:.3e})"
+        # x = C + u^2/2 with u = q[j] + P + B0 x solves (B0/2) u^2 - u + k = 0
+        k = q[j] + P + B[0] * C
+        D = 1.0 - 2.0 * B[0] * k
+        if D < 0.0:
+            raise DomainError(
+                f"per-step equation has no real root at tau = {grid[j]:.6g}: "
+                f"the solution blew up; weights (a, b, c) outside the domain"
             )
+        # the root continuous in B0 -> 0 (u -> k), free of cancellation
+        u = 2.0 * k / (1.0 + math.sqrt(D))
+        x = C + 0.5 * u * u
         if abs(x) > GROWTH_BOUND:
             raise DomainError(
                 f"solution magnitude exceeded {GROWTH_BOUND:g} at tau = "
@@ -397,9 +382,12 @@ def solve_riccati(
     """March the convolution Riccati equation on a uniform tau-grid.
 
     Per step, g(tau_j) solves a scalar quadratic (its own convolution weight
-    appears inside the square) by damped Newton from a linear-extrapolation
-    predictor.  ``solver_tolerance`` records the sup-gap against a
-    half-resolution solve, a practical error estimate at first order.
+    appears inside the square), taken in closed form on the root that stays
+    continuous as that weight goes to 0.  A quadratic without a real root
+    means the solution has blown up, and like growth beyond ``GROWTH_BOUND``
+    it raises ``DomainError``.  ``solver_tolerance`` records the sup-gap
+    against a half-resolution solve, a practical error estimate at first
+    order.
     """
     if not -1.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [-1, 1]")

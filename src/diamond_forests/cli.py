@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import math
@@ -158,25 +159,34 @@ def read_config_file(path: str) -> List[Tuple[str, str]]:
     return pairs
 
 
-def read_kernel_csv(path: str, T: float) -> Chaos2State:
-    """Rows (w, v, f(w, v)) sampled at the left points of a uniform grid."""
+def _read_csv_rows(path: str, what: str, names: Tuple[str, ...]) -> List[List[float]]:
+    """Numeric rows with one column per name; skips blank and '#' rows and a
+    header row, recognized by all names but the last."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
     except OSError as exc:
-        raise UsageError(f"cannot read kernel file {path}: {exc}") from exc
-    triples: List[Tuple[float, float, float]] = []
+        raise UsageError(f"cannot read {what} file {path}: {exc}") from exc
+    out: List[List[float]] = []
     for i, row in enumerate(rows, 1):
-        if [c.strip().lower() for c in row[:2]] == ["w", "v"]:
-            continue  # header
-        if len(row) != 3:
-            raise UsageError(f"{path}:{i}: expected 3 columns (w, v, value)")
+        if [c.strip().lower() for c in row[: len(names) - 1]] == list(names[:-1]):
+            continue
+        if len(row) != len(names):
+            raise UsageError(
+                f"{path}:{i}: expected {len(names)} columns ({', '.join(names)})"
+            )
         try:
-            triples.append(tuple(float(c) for c in row))  # type: ignore[arg-type]
+            out.append([float(c) for c in row])
         except ValueError as exc:
             raise UsageError(f"{path}:{i}: non-numeric entry {row!r}") from exc
-    if not triples:
-        raise UsageError(f"{path}: no kernel samples found")
+    if not out:
+        raise UsageError(f"{path}: no {what} samples found")
+    return out
+
+
+def read_kernel_csv(path: str, T: float) -> Chaos2State:
+    """Rows (w, v, f(w, v)) sampled at the left points of a uniform grid."""
+    triples = _read_csv_rows(path, "kernel", ("w", "v", "value"))
     coords = sorted({w for w, _, _ in triples} | {v for _, v, _ in triples})
     M = len(coords)
     h = T / M
@@ -204,25 +214,9 @@ def read_kernel_csv(path: str, T: float) -> Chaos2State:
 
 def read_curve_csv(path: str) -> ForwardVarianceCurve:
     """Rows (u, forward variance at u)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    except OSError as exc:
-        raise UsageError(f"cannot read curve file {path}: {exc}") from exc
-    times: List[float] = []
-    values: List[float] = []
-    for i, row in enumerate(rows, 1):
-        if [c.strip().lower() for c in row[:1]] == ["u"]:
-            continue
-        if len(row) != 2:
-            raise UsageError(f"{path}:{i}: expected 2 columns (u, xi)")
-        try:
-            times.append(float(row[0]))
-            values.append(float(row[1]))
-        except ValueError as exc:
-            raise UsageError(f"{path}:{i}: non-numeric entry {row!r}") from exc
-    if not times:
-        raise UsageError(f"{path}: no curve samples found")
+    rows = _read_csv_rows(path, "curve", ("u", "xi"))
+    times = [u for u, _ in rows]
+    values = [xi for _, xi in rows]
     try:
         return ForwardVarianceCurve.sampled(times, values)
     except ValueError as exc:
@@ -408,26 +402,20 @@ def cmd_mc(args) -> dict:
     return result
 
 
+VERIFY_FLAGS = ("order", "seed", "paths", "steps")
+
+
 def cmd_verify(args) -> Tuple[dict, int]:
     if args.suite not in SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
-    kwargs = {}
-    if args.suite == "reorder" and args.order is not None:
-        kwargs["order"] = args.order
-    if args.suite == "cameron-martin" and args.order is not None:
-        kwargs["order"] = args.order
-    if args.suite == "levy":
-        if args.order is not None:
-            kwargs["order"] = args.order
-        kwargs.update({"mc_paths": args.paths, "mc_steps": args.steps, "seed": args.seed})
-    if args.suite == "bessel":
-        kwargs.update({"mc_paths": args.paths, "seed": args.seed})
-    if args.suite == "mc-cross":
-        kwargs.update(
-            {"paths": args.paths or 200_000, "steps": args.steps, "seed": args.seed}
-        )
-    if args.suite == "heston-riccati" and args.steps:
-        kwargs["n_steps"] = max(args.steps, 8)
+    takes = inspect.signature(SUITES[args.suite]).parameters
+    kwargs = {f: getattr(args, f) for f in VERIFY_FLAGS if getattr(args, f) is not None}
+    for flag in kwargs:
+        if flag not in takes:
+            accepted = " ".join(f"--{f}" for f in VERIFY_FLAGS if f in takes) or "none"
+            raise UsageError(
+                f"suite {args.suite!r} does not take --{flag} (it takes: {accepted})"
+            )
     report = run_suite(args.suite, **kwargs)
     return {
         "suite": report.suite,
@@ -531,10 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="named cross-check suites")
     p.add_argument("suite", help=f"one of {sorted(SUITES)}")
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--paths", type=int, default=0)
-    p.add_argument("--steps", type=int, default=256)
+    for flag in VERIFY_FLAGS:
+        p.add_argument(f"--{flag}", type=int, default=None,
+                       help="passed to suites that take it (default: the suite's)")
     common(p)
 
     return parser

@@ -1,14 +1,10 @@
 """Shared exception types.
 
 ``DomainError`` marks numeric-domain violations (outside a convergence
-domain, solver blow-up, invalid model parameters) as opposed to usage errors;
-the CLI maps it to exit code 3.
+domain, a Riccati solution that blows up, invalid model parameters) as
+opposed to usage errors; the CLI maps it to exit code 3.
 """
 
 
 class DomainError(ValueError):
     """Parameters are outside the mathematical domain of the operation."""
-
-
-class SolverError(DomainError):
-    """An iterative solve failed to converge (reported with its step index)."""

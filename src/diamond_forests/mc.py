@@ -253,14 +253,17 @@ _SIMULATORS = {
 
 
 def _thread_cap() -> int:
+    """Worker cap: ``DIAMOND_FORESTS_THREADS`` clamped to [1, cpu count], else
+    min(4, cpu count)."""
+    cpus = os.cpu_count() or 1
     raw = os.environ.get(THREADS_ENV, "").strip()
     if raw:
         try:
             cap = int(raw)
         except ValueError as exc:
             raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-        return max(1, cap)
-    return max(1, min(4, os.cpu_count() or 1))
+        return max(1, min(cap, cpus))
+    return max(1, min(4, cpus))
 
 
 def simulate(cfg: SimConfig) -> Samples:
@@ -276,12 +279,8 @@ def simulate(cfg: SimConfig) -> Samples:
         m = min(BLOCK_PATHS, cfg.n_paths - i * BLOCK_PATHS)
         return kernel_fn(cfg, _block_rng(cfg.seed, i), m)
 
-    workers = min(_thread_cap(), n_blocks)
-    if workers == 1:
-        parts = [run_block(i) for i in range(n_blocks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_block, range(n_blocks)))
+    with ThreadPoolExecutor(max_workers=min(_thread_cap(), n_blocks)) as pool:
+        parts = list(pool.map(run_block, range(n_blocks)))
     names = parts[0].keys()
     columns = {k: np.concatenate([p[k] for p in parts]) for k in names}
     return Samples(columns=columns, config=cfg)

@@ -1,25 +1,22 @@
-"""Iterated stochastic integrals: diamond recursions, shuffles, expected signature.
+"""Iterated stochastic integrals: signature diamonds, shuffles, expected signature.
 
 Words are strings of digit letters ("12" is the integral of B^1 against dB^2,
 iterated left to right).  ``SigExpr`` is an exact linear combination of terms
 
     coeff * B^{w_1}_t * ... * B^{w_r}_t * (T-t)^p,    p in (1/2) Z,
 
-with rational coefficients; Ito expressions only ever produce integer powers,
-the Stratonovich corrections introduce genuine half-integers via the expected
-signature.  Powers are stored doubled to stay exact.
+with rational coefficients and powers stored doubled.
 
-The two diamond recursions take the prefix/last-letter form (a, i, b, j) for
-the pair of words ``a+i`` and ``b+j``; i != j annihilates both.  The
-Stratonovich correction terms attach the expected-signature weight sigma of a
-*nonempty* inner word only — the constant unit signature of the empty word has
-no increment, hence no correction integral (applying the correction rule
-naively at empty words would triple-count the base term).
-
-Both recursions reproduce direct computations exactly when the conditioning
-time is 0 (where all iterated integrals vanish); at interior times they use
-the Brownian scaling-in-law step and stay exact for words of length <= 2 in
-each slot, which covers every closed-form example exercised here.
+The diamonds take the prefix/last-letter form (a, i, b, j) for the pair of
+words ``a+i`` and ``b+j``; i != j annihilates both, and otherwise the bracket
+is the integral over [t, T] of E_t[B^a_s B^b_s].  Chen's identity
+B^a_s = sum_{a = a1 a2} B^{a1}_t B^{a2}_{t,s} splits each word at time t, and
+the integrals over [t, s] are independent of F_t with the law of a fresh path
+at horizon s - t.  Both diamonds are therefore closed forms, exact at every
+conditioning time; they differ only in the unit-horizon expectation of a
+product of two words (chaos orthogonality for Ito, the expected signature
+summed over the shuffle for Stratonovich).  That expectation vanishes when
+|a2| + |b2| is odd, so only integer powers of (T-t) occur.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..algebra import format_fraction
 
@@ -125,12 +122,6 @@ class SigExpr:
         q = Fraction(q)
         return SigExpr._from_dict({k: c * q for k, c in self.terms})
 
-    def mul_power(self, pow2: int) -> "SigExpr":
-        """Multiply by (T-t)^{pow2/2}."""
-        return SigExpr._from_dict(
-            {(words, p + pow2): c for (words, p), c in self.terms}
-        )
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -193,76 +184,107 @@ class SigExpr:
 
 
 # ---------------------------------------------------------------------------
-# Diamond recursions
+# Diamonds from Chen's identity
 # ---------------------------------------------------------------------------
+
+
+def _chen_diamond(
+    a: str,
+    i: str,
+    b: str,
+    j: str,
+    weights: Callable[[str, str], List[List[Fraction]]],
+) -> SigExpr:
+    """delta_ij sum over a = a1 a2, b = b1 b2 of
+    B^{a1} B^{b1} c(a2, b2) (T-t)^{m/2+1} / (m/2+1),  m = |a2| + |b2|.
+
+    ``weights(a, b)[p][q]`` is c(a[p:], b[q:]), the unit-horizon expectation
+    E[B^{a2}_1 B^{b2}_1] of two iterated integrals over a fresh Brownian path;
+    Chen's identity splits each word at time t and the increments after t
+    are independent of F_t.
+    """
+    _check_word(a), _check_word(b)
+    if len(i) != 1 or len(j) != 1:
+        raise ValueError("i and j must be single letters")
+    _check_word(i), _check_word(j)
+    if i != j:
+        return SigExpr.zero()
+    c = weights(a, b)
+    terms: Dict[Key, Fraction] = {}
+    for p in range(len(a) + 1):
+        for q in range(len(b) + 1):
+            if c[p][q]:
+                m = len(a) - p + len(b) - q
+                key = (tuple(sorted(w for w in (a[:p], b[:q]) if w)), m + 2)
+                terms[key] = terms.get(key, Fraction(0)) + c[p][q] * Fraction(2, m + 2)
+    return SigExpr._from_dict(terms)
+
+
+def _ito_weights(a: str, b: str) -> List[List[Fraction]]:
+    # chaos orthogonality: E[I^u_1 I^v_1] = [u == v] / |u|!
+    return [
+        [
+            Fraction(1, math.factorial(len(a) - p)) if a[p:] == b[q:] else Fraction(0)
+            for q in range(len(b) + 1)
+        ]
+        for p in range(len(a) + 1)
+    ]
+
+
+def _strat_weights(a: str, b: str) -> List[List[Fraction]]:
+    """Entry [p][q] is the sum of sigma(w) over w in a[p:] shuffle b[q:].
+
+    sigma is 1/(2^m m!) on the doubled words i1 i1 ... im im of length 2m and
+    zero elsewhere, so this counts the interleavings (with multiplicity) that
+    read as doubled words, walking both words' positions back from their
+    ends.  The sentinels keep a letter pair from running past an end.
+    """
+    la, lb = len(a), len(b)
+    pa, pb = a + "xy", b + "uv"
+    n = [[0] * (lb + 3) for _ in range(la + 3)]
+    for p in range(la, -1, -1):
+        for q in range(lb, -1, -1):
+            n[p][q] = (
+                int((p, q) == (la, lb))
+                + (pa[p] == pa[p + 1]) * n[p + 2][q]
+                + (pb[q] == pb[q + 1]) * n[p][q + 2]
+                + 2 * (pa[p] == pb[q]) * n[p + 1][q + 1]
+            )
+
+    def sigma_sum(p: int, q: int) -> Fraction:
+        m = (la - p + lb - q) // 2
+        return Fraction(n[p][q], 2**m * math.factorial(m))
+
+    return [[sigma_sum(p, q) for q in range(lb + 1)] for p in range(la + 1)]
 
 
 def diamond_ito(a: str, i: str, b: str, j: str) -> SigExpr:
     """Diamond of the Ito iterated integrals for words a+i and b+j.
 
-    Returns delta_{ij} [ B^a B^b (T-t) + (T-t)/(1 + (|a|+|b|)/2) (B^a <> B^b) ],
-    where the inner diamond vanishes whenever either prefix is empty (the
-    empty-word integral is the constant 1).
+    Exact at every conditioning time t:
 
-    The Brownian-scaling step behind the (T-t)/(1 + (|a|+|b|)/2) factor
-    replaces a mixed-power integrand by a single power; that is lossless at
-    time-0 conditioning (all word terms drop, one power survives) and for
-    full words of length <= 2 per slot at general times, but for longer
-    words the expression at general t is the scaling approximation.
+        delta_ij sum_{a = a1 a2, b = b1 b2, a2 = b2}
+            B^{a1} B^{b1} (T-t)^{k+1} / (k+1)!,   k = |a2|,
+
+    from Chen's identity and chaos orthogonality E[I^u_r I^v_r] =
+    [u == v] r^{|u|} / |u|! of the integrals over [t, s].
     """
-    _check_word(a), _check_word(b)
-    if len(i) != 1 or len(j) != 1:
-        raise ValueError("i and j must be single letters")
-    _check_word(i), _check_word(j)
-    if i != j:
-        return SigExpr.zero()
-    expr = SigExpr.monomial((a, b), pow2=2)
-    if a and b:
-        inner = diamond_ito(a[:-1], a[-1], b[:-1], b[-1])
-        expr = expr + inner.mul_power(2).scale(Fraction(2, 2 + len(a) + len(b)))
-    return expr
+    return _chen_diamond(a, i, b, j, _ito_weights)
 
 
 def diamond_strat(a: str, i: str, b: str, j: str) -> SigExpr:
     """Diamond of the Stratonovich iterated integrals for words a+i and b+j.
 
-    The Ito skeleton plus the expected-signature corrections
+    Exact at every conditioning time t:
 
-        B^a sigma_b (T-t)^{|b|/2+1} / (|b|/2+1)   (only for nonempty b)
+        delta_ij sum_{a = a1 a2, b = b1 b2} B^{a1} B^{b1}
+            sum_{w in a2 shuffle b2} sigma(w) (T-t)^{m/2+1} / (m/2+1),
 
-    and symmetrically in a; half-integer powers appear for odd |a| or |b|.
-
-    The closed form intertwines a product expansion with Brownian scaling and
-    is exact when either prefix is empty at time-0 conditioning, or when
-    |a| + |b| <= 3; for deeper word pairs it drops cross terms between the
-    drift parts of the iterated integrals (e.g. for a = "1", b = "111" the
-    time-0 weight comes out 1/12 where the conditional bracket evaluates to
-    1/6).  The recursion output is the contract here.
+    with m = |a2| + |b2| and sigma the expected signature (``fawcett_sigma``).
+    The shuffle sum is counted over the two words' positions, not expanded,
+    so long words stay cheap.
     """
-    _check_word(a), _check_word(b)
-    if len(i) != 1 or len(j) != 1:
-        raise ValueError("i and j must be single letters")
-    _check_word(i), _check_word(j)
-    if i != j:
-        return SigExpr.zero()
-    expr = SigExpr.monomial((a, b), pow2=2)
-    if b:
-        s = fawcett_sigma(b)
-        if s:
-            # (T-t)^{|b|/2 + 1} / (|b|/2 + 1), doubled power |b| + 2
-            expr = expr + SigExpr.monomial(
-                (a,), pow2=len(b) + 2, coeff=s * Fraction(2, len(b) + 2)
-            )
-    if a:
-        s = fawcett_sigma(a)
-        if s:
-            expr = expr + SigExpr.monomial(
-                (b,), pow2=len(a) + 2, coeff=s * Fraction(2, len(a) + 2)
-            )
-    if a and b:
-        inner = diamond_strat(a[:-1], a[-1], b[:-1], b[-1])
-        expr = expr + inner.mul_power(2).scale(Fraction(2, 2 + len(a) + len(b)))
-    return expr
+    return _chen_diamond(a, i, b, j, _strat_weights)
 
 
 # ---------------------------------------------------------------------------

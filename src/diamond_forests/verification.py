@@ -175,8 +175,8 @@ def suite_reorder(order: int = 8, kill_order: int = 10) -> SuiteReport:
 def suite_levy(
     T: float = 0.5,
     order: int = 20,
-    mc_paths: int = 0,
-    mc_steps: int = 512,
+    paths: int = 0,
+    steps: int = 512,
     seed: int = 7,
 ) -> SuiteReport:
     """Planar area law: series vs tan Taylor oracle, closed form, optional MC."""
@@ -193,14 +193,14 @@ def suite_levy(
         Check(f"cgf partial sum at T={T:g} vs -log cos", abs(partial - closed), 1e-8)
     )
 
-    if mc_paths > 0:
-        cfg = SimConfig("LevyArea", {}, mc_paths, mc_steps, 1.0, seed=seed)
+    if paths > 0:
+        cfg = SimConfig("LevyArea", {}, paths, steps, 1.0, seed=seed)
         k2 = empirical_cumulants(simulate(cfg), 2)[1]
         # left-point Euler shrinks the variance by exactly 1/n_steps
-        bias = 1.0 / mc_steps
+        bias = 1.0 / steps
         checks.append(
             Check(
-                f"MC variance at T=1 within 3 SE + step bias ({mc_paths} paths)",
+                f"MC variance at T=1 within 3 SE + step bias ({paths} paths)",
                 abs(k2.value - 1.0),
                 3.0 * k2.std_error + bias,
             )
@@ -233,7 +233,7 @@ def suite_bessel(
     T: float = 1.0,
     lams: Sequence[float] = (0.1, 0.5),
     deltas: Sequence[float] = (0.0, 1.0, 2.0),
-    mc_paths: int = 0,
+    paths: int = 0,
     seed: int = 7,
 ) -> SuiteReport:
     """Squared-radius Laplace transforms: series vs closed form, optional MC."""
@@ -252,10 +252,10 @@ def suite_bessel(
             1e-8,
         )
     )
-    if mc_paths > 0:
+    if paths > 0:
         worst_margin = -math.inf
         for delta in deltas:
-            cfg = SimConfig("BESQ", {"x": x, "delta": delta}, mc_paths, 1, T, seed=seed)
+            cfg = SimConfig("BESQ", {"x": x, "delta": delta}, paths, 1, T, seed=seed)
             xs = simulate(cfg).column("X")
             for lam in lams:
                 w = np.exp(-lam * xs)
@@ -264,7 +264,7 @@ def suite_bessel(
                 worst_margin = max(worst_margin, gap - 3 * se)
         checks.append(
             Check(
-                f"exact-sampler MC within 3 SE ({mc_paths} draws)",
+                f"exact-sampler MC within 3 SE ({paths} draws)",
                 worst_margin,
                 0.0,
             )
@@ -330,15 +330,15 @@ def suite_chaos2(
     return SuiteReport("chaos2", checks)
 
 
-def suite_heston_riccati(n_steps: int = 4096) -> SuiteReport:
+def suite_heston_riccati(steps: int = 4096) -> SuiteReport:
     """Convolution solver vs the classical ODE, residuals, short-time slopes."""
     checks: List[Check] = []
     kern = KernelSpec.exponential(nu=0.3, lam=1.0)
-    sol = solve_riccati(kern, -0.7, 0.25, 0.1, 0.0, 0.1, horizon=1.0, n_steps=n_steps)
+    sol = solve_riccati(kern, -0.7, 0.25, 0.1, 0.0, 0.1, horizon=1.0, n_steps=steps)
     ref = heston_ode_reference(kern, -0.7, 0.25, 0.1, sol.grid)
     checks.append(
         Check(
-            f"exponential-kernel solve vs ODE oracle at {n_steps} steps",
+            f"exponential-kernel solve vs ODE oracle at {steps} steps",
             float(np.max(np.abs(sol.g - ref))),
             1e-6,
         )

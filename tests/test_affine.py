@@ -256,6 +256,13 @@ def test_riccati_blowup_raises_domain_error():
         solve_riccati(EXP, 0.0, 40.0, 40.0, 0.0, 0.1, horizon=2.0, n_steps=256)
 
 
+def test_riccati_step_without_real_root_raises_domain_error():
+    # on a coarse grid the per-step quadratic loses its real roots (negative
+    # discriminant) before the solution crosses the growth bound
+    with pytest.raises(DomainError, match="no real root"):
+        solve_riccati(EXP, 0.0, 40, 40, 0, 0.1, horizon=2.0, n_steps=8)
+
+
 def test_riccati_rejects_tiny_grids_and_bad_rho():
     with pytest.raises(ValueError):
         solve_riccati(EXP, 0.0, 0.1, 0.0, 0.0, 0.1, horizon=1.0, n_steps=4)

@@ -150,6 +150,43 @@ def test_signature_strat_square_value():
     assert abs(res["time_zero_value"] - 0.125) < 1e-15
 
 
+def test_signature_deep_strat_pair_prints_exact_bracket():
+    doc = run_json(["signature", "--left", "11", "--right", "1111",
+                    "--mode", "strat", "--T", "1"])
+    res = doc["result"]
+    assert {"coeff": "1/6", "words": [], "dt_power": "3"} in res["terms"]
+    assert res["time_zero_value"] == pytest.approx(1 / 6, rel=1e-15)
+
+
+def test_signature_twelve_letter_words_return():
+    for mode in ("ito", "strat"):
+        doc = run_json(["signature", "--left", "112211221122",
+                        "--right", "221122112112", "--mode", mode, "--T", "1"])
+        assert doc["result"]["terms"]
+
+
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        ("kernel", "w,v,f\n0.0,0.5\n", "bad.csv:2: expected 3 columns (w, v, value)"),
+        ("kernel", "0.0,x,1.0\n", "bad.csv:1: non-numeric entry ['0.0', 'x', '1.0']"),
+        ("kernel", "# only a comment\n", "bad.csv: no kernel samples found"),
+        ("curve", "u,xi\n0.0,0.04,1\n", "bad.csv:2: expected 2 columns (u, xi)"),
+        ("curve", "0.0,y\n", "bad.csv:1: non-numeric entry ['0.0', 'y']"),
+        ("curve", "\n", "bad.csv: no curve samples found"),
+    ],
+)
+def test_csv_readers_report_row_errors(tmp_path, reader, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    read = {"kernel": lambda p: cli.read_kernel_csv(p, 1.0), "curve": cli.read_curve_csv}
+    with pytest.raises(cli.UsageError) as info:
+        read[reader](str(path))
+    assert str(info.value) == f"{tmp_path}/{message}"
+    with pytest.raises(cli.UsageError, match=f"cannot read {reader} file"):
+        read[reader](str(tmp_path / "missing.csv"))
+
+
 def test_chaos2_kernel_csv_round_trip(tmp_path):
     # A constant kernel written through the CSV path must reproduce --flat.
     M, T, value = 24, 1.0, 0.7
@@ -241,6 +278,32 @@ def test_verify_monte_carlo_suites_serialize(argv):
     doc = run_json(argv)
     assert doc["result"]["passed"] is True
     assert all(c["passed"] is True for c in doc["result"]["checks"])
+
+
+def test_verify_levy_small_monte_carlo_passes():
+    doc = run_json(["verify", "levy", "--paths", "2000"])
+    assert doc["result"]["passed"] is True
+    assert len(doc["result"]["checks"]) == 3
+    # flags that were not given are neither forwarded nor echoed
+    assert doc["config"] == {"paths": 2000, "suite": "levy"}
+
+
+def test_verify_forwards_exactly_the_given_flags(monkeypatch):
+    calls = []
+
+    def suite(steps=4096, seed=7):
+        calls.append({"steps": steps, "seed": seed})
+        return SuiteReport("heston-riccati", [Check("ok", 0.0, 0.0)])
+
+    monkeypatch.setitem(cli.SUITES, "heston-riccati", suite)
+    run_json(["verify", "heston-riccati"])
+    run_json(["verify", "heston-riccati", "--steps", "64", "--seed", "3"])
+    assert calls == [{"steps": 4096, "seed": 7}, {"steps": 64, "seed": 3}]
+
+
+def test_verify_flag_the_suite_does_not_take_is_usage_error(capsys):
+    assert cli.main(["verify", "chaos2", "--order", "3"]) == 2
+    assert "--order" in capsys.readouterr().err
 
 
 def test_verify_failure_sets_exit_code(monkeypatch):

@@ -1,6 +1,7 @@
 """Monte Carlo simulators vs exact laws, and estimator calibration."""
 
 import math
+import os
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from diamond_forests.errors import DomainError
 from diamond_forests.mc import (
     BLOCK_PATHS,
     SimConfig,
+    _thread_cap,
     empirical_cumulants,
     empirical_mgf,
     simulate,
@@ -57,6 +59,13 @@ def test_seed_determinism_and_batch_invariance(monkeypatch):
     assert np.array_equal(serial, threaded)
     other = simulate(SimConfig("BMdrift", {}, cfg.n_paths, 1, 1.0, seed=8))
     assert not np.array_equal(serial, other.column("X"))
+
+
+def test_thread_cap_is_clamped_to_cpu_count(monkeypatch):
+    monkeypatch.setenv("DIAMOND_FORESTS_THREADS", "100000")
+    assert _thread_cap() == (os.cpu_count() or 1)
+    monkeypatch.setenv("DIAMOND_FORESTS_THREADS", "0")
+    assert _thread_cap() == 1
 
 
 def test_besq_exact_sampler_against_transform():

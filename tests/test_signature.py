@@ -4,10 +4,12 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from diamond_forests.models.signature import (
     SigExpr,
+    _strat_weights,
     cameron_martin_cgf,
     cameron_martin_cgf_coeffs,
     cameron_martin_q,
@@ -226,16 +228,79 @@ def test_strat_time_zero_shuffle_oracle():
         assert coeffs == expected, (a, b)
 
 
-def test_strat_deep_words_follow_the_recursion():
-    # beyond the exact regime the closed form drops drift cross terms; the
-    # output is still well defined and these weights are part of the contract
-    # (the conditional brackets themselves integrate to 1/6 and 1/4 here)
+def test_strat_deep_words_match_the_conditional_bracket():
+    # at time 0 the conditional brackets integrate to 1/6 and 1/4 here
     assert t0_dt_coefficients(diamond_strat("1", "1", "111", "1")) == {
-        6: Fraction(1, 12)
-    }
-    assert t0_dt_coefficients(diamond_strat("11", "1", "11", "1")) == {
         6: Fraction(1, 6)
     }
+    assert t0_dt_coefficients(diamond_strat("11", "1", "11", "1")) == {
+        6: Fraction(1, 4)
+    }
+
+
+def test_hand_checked_general_time_terms():
+    # Ito (1, 11): the split a2 = b2 = "1" leaves B^1 (T-t)^2 / 2!
+    assert diamond_ito("1", "1", "11", "1") == SigExpr.monomial(
+        ("1", "11"), pow2=2
+    ) + SigExpr.monomial(("1",), pow2=4, coeff=Fraction(1, 2))
+    # Stratonovich ("", 111): b2 = "11" carries sigma_11 (T-t)^2 / 2 = dt^2 / 4
+    assert diamond_strat("", "1", "111", "1") == SigExpr.monomial(
+        ("111",), pow2=2
+    ) + SigExpr.monomial(("1",), pow2=4, coeff=Fraction(1, 4))
+
+
+def test_strat_weights_count_the_shuffle():
+    # the walk over positions equals the expanded shuffle with Fawcett weights
+    for u, v in product(words_up_to(4), repeat=2):
+        want = sum(
+            (mult * fawcett_sigma(w) for w, mult in shuffle(u, v).items()),
+            Fraction(0),
+        )
+        assert _strat_weights(u, v)[0][0] == want, (u, v)
+
+
+def _one_letter_oracle(k_a, k_b, word_value, x, t, T):
+    """int_t^T E[f_a(B_s, s) f_b(B_s, s) | B_t = x] ds by quadrature.
+
+    ``word_value(k, y, s)`` is the iterated integral of the word 1^k at time s
+    with B_s = y; it is a polynomial in (y, s), so Gauss-Hermite in the
+    increment and Gauss-Legendre in s are exact up to rounding.
+    """
+    z, wz = np.polynomial.hermite_e.hermegauss(24)
+    wz = wz / math.sqrt(2.0 * math.pi)
+    r, wr = np.polynomial.legendre.leggauss(24)
+    s = t + 0.5 * (T - t) * (r + 1.0)
+    total = 0.0
+    for s_k, w_k in zip(s, wr):
+        y = x + math.sqrt(s_k - t) * z
+        inner = word_value(k_a, y, s_k) * word_value(k_b, y, s_k)
+        total += 0.5 * (T - t) * w_k * float(np.dot(wz, inner))
+    return total
+
+
+def _ito_one_letter(k, y, s):
+    # I^{1^k}_s = s^{k/2} He_k(B_s / sqrt(s)) / k!
+    he_k = np.polynomial.hermite_e.hermeval(y / math.sqrt(s), [0.0] * k + [1.0])
+    return s ** (k / 2) * he_k / math.factorial(k)
+
+
+def _strat_one_letter(k, y, s):
+    return y**k / math.factorial(k)
+
+
+@pytest.mark.parametrize(
+    "diamond, word_value",
+    [(diamond_ito, _ito_one_letter), (diamond_strat, _strat_one_letter)],
+    ids=["ito", "strat"],
+)
+def test_one_letter_words_match_quadrature_at_general_time(diamond, word_value):
+    x, t, T = 0.7, 0.4, 1.3
+    values = {"1" * k: float(word_value(k, x, t)) for k in range(1, 7)}
+    for k_a, k_b in product(range(6), repeat=2):
+        expr = diamond("1" * k_a, "1", "1" * k_b, "1")
+        got = expr.evaluate(T - t, values)
+        want = _one_letter_oracle(k_a, k_b, word_value, x, t, T)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300), (k_a, k_b)
 
 
 def test_strat_half_integer_powers_appear():
