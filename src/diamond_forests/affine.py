@@ -58,6 +58,7 @@ PRICE_LEAF_LABELS = frozenset({"X", "Y"})
 ZETA_LEAF_LABELS = frozenset({"zeta"})
 
 GROWTH_BOUND = 1.0e3
+MIN_STEPS = 8  # fewest grid steps ``solve_riccati`` takes
 
 
 # ---------------------------------------------------------------------------
@@ -182,29 +183,26 @@ class ForwardVarianceCurve:
 
 
 def _conv_weights(kernel: KernelSpec, grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Weights (A, B): (kappa * v)(grid[j]) = sum_{i<j} v[j-1-i] A[i] + v[j-i] B[i]
-    for piecewise-linear v on the uniform grid."""
+    """Toeplitz weights W and endpoint correction E of the product integration:
+    (kappa * v)(grid[j]) = sum_{m<=j} W[m] v[j-m] - E[j] v[0] for piecewise-linear
+    v on the uniform grid.  Subinterval i weights its left node by
+    B[i] = integral kappa(s) (tau_{i+1} - s) ds / dtau and its right node by
+    A[i] = m0[i] - B[i], so W[m] = A[m-1] + B[m] and W[0] = B[0] weights v[j];
+    E = (B, 0) takes off the B[j] that W[j] puts on v[0] past the sum's end."""
     dtau = grid[1] - grid[0]
     m0, m1 = kernel.moments(grid)
     B = (grid[1:] * m0 - m1) / dtau
-    A = m0 - B
-    return A, B
+    E = np.append(B, 0.0)
+    W = E + np.append(0.0, m0 - B)
+    return W, E
 
 
 def kernel_convolve(kernel: KernelSpec, values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """(kappa * v)(tau_j) on the grid for piecewise-linear v, exact kernel moments."""
+    """(kappa * v)(tau_j) on the grid for piecewise-linear v, exact kernel moments:
+    one discrete convolution with the weights of ``_conv_weights``."""
     values = np.asarray(values, dtype=float)
-    A, B = _conv_weights(kernel, grid)
-    n = grid.size
-    out = np.zeros(n)
-    convA = np.convolve(A, values)  # index j-1 holds sum_{i<=j-1} A[i] v[j-1-i]
-    convB = np.convolve(B, values)
-    # the B-part sum runs over i = 0..j-1; np.convolve at index j also carries
-    # the i = j term B[j] v[0] whenever j < len(B), so strip it
-    B_ext = np.append(B, 0.0)
-    j = np.arange(1, n)
-    out[1:] = convA[j - 1] + convB[j] - B_ext[j] * values[0]
-    return out
+    W, E = _conv_weights(kernel, grid)
+    return np.convolve(W, values)[: grid.size] - E * values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -340,24 +338,21 @@ def _riccati_march(
 ) -> np.ndarray:
     C = b - 0.5 * a + 0.5 * (1.0 - rho * rho) * a * a
     q = rho * a + c * kappa_bar(kernel, grid, delta)
-    A, B = _conv_weights(kernel, grid)
-    n = grid.size
-    g = np.empty(n)
+    W, E = _conv_weights(kernel, grid)
+    g = np.empty(grid.size)
     g[0] = C + 0.5 * q[0] ** 2  # boundary: convolution vanishes at tau = 0
-    for j in range(1, n):
-        # known part of (kappa * g)(tau_j); the i = 0 term carries g[j]
-        P = float(np.dot(A[:j], g[j - 1 :: -1])) + float(
-            np.dot(B[1:j], g[j - 1 : 0 : -1])
-        )
-        # x = C + u^2/2 with u = q[j] + P + B0 x solves (B0/2) u^2 - u + k = 0
-        k = q[j] + P + B[0] * C
-        D = 1.0 - 2.0 * B[0] * k
+    for j in range(1, grid.size):
+        # known part of (kappa * g)(tau_j); the weight W[0] carries g[j]
+        P = float(np.dot(W[1 : j + 1], g[j - 1 :: -1])) - E[j] * g[0]
+        # x = C + u^2/2 with u = q[j] + P + W0 x solves (W0/2) u^2 - u + k = 0
+        k = q[j] + P + W[0] * C
+        D = 1.0 - 2.0 * W[0] * k
         if D < 0.0:
             raise DomainError(
                 f"per-step equation has no real root at tau = {grid[j]:.6g}: "
                 f"the solution blew up; weights (a, b, c) outside the domain"
             )
-        # the root continuous in B0 -> 0 (u -> k), free of cancellation
+        # the root continuous in W0 -> 0 (u -> k), free of cancellation
         u = 2.0 * k / (1.0 + math.sqrt(D))
         x = C + 0.5 * u * u
         if abs(x) > GROWTH_BOUND:
@@ -393,8 +388,8 @@ def solve_riccati(
         raise ValueError("rho must lie in [-1, 1]")
     if not horizon > 0:
         raise ValueError("horizon must be positive")
-    if n_steps < 8:
-        raise ValueError("n_steps must be >= 8")
+    if n_steps < MIN_STEPS:
+        raise ValueError(f"n_steps must be >= {MIN_STEPS}")
     grid = np.linspace(0.0, horizon, n_steps + 1)
     g = _riccati_march(kernel, rho, a, b, c, delta, grid)
     half = _riccati_march(kernel, rho, a, b, c, delta, grid[::2])

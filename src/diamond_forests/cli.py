@@ -16,12 +16,14 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .affine import (
+    MIN_STEPS,
     ForwardVarianceCurve,
     KernelSpec,
     mgf_value,
@@ -327,6 +329,12 @@ def cmd_signature(args) -> dict:
     return result
 
 
+def _riccati_steps(steps: int) -> int:
+    if steps < MIN_STEPS:  # refused under the flag's own name
+        raise UsageError(f"--steps must be >= {MIN_STEPS} for the Riccati solve, got {steps}")
+    return steps
+
+
 def cmd_riccati(args) -> dict:
     if args.kernel == "exp":
         if args.lam is None:
@@ -338,7 +346,7 @@ def cmd_riccati(args) -> dict:
         kern = KernelSpec.power_law(nu=args.nu, alpha=args.alpha)
     sol = solve_riccati(
         kern, args.rho, args.a, args.b, args.c, args.delta,
-        horizon=args.T, n_steps=args.steps,
+        horizon=args.T, n_steps=_riccati_steps(args.steps),
     )
     curve = read_curve_csv(args.curve) if args.curve else ForwardVarianceCurve.flat(args.xi0)
     return {
@@ -377,28 +385,13 @@ def cmd_mc(args) -> dict:
         column = next(iter(samples.columns))
     if column is not None:
         estimates = empirical_cumulants(samples, args.max_order, column=column)
-        result["estimates"] = [
-            {
-                "order": e.order,
-                "value": e.value,
-                "std_error": e.std_error,
-                "method": e.method,
-            }
-            for e in estimates
-        ]
+        result["estimates"] = [asdict(e) for e in estimates]
     if args.mgf is not None:
         try:
             a, b, c = (float(p) for p in args.mgf.split(","))
         except ValueError as exc:
             raise UsageError("--mgf expects three comma-separated numbers a,b,c") from exc
-        est = empirical_mgf(samples, (a, b, c))
-        result["mgf"] = {
-            "value": est.value,
-            "std_error": est.std_error,
-            "log_value": math.log(est.value),
-            "tail_share": est.tail_share,
-            "tail_warning": est.tail_warning,
-        }
+        result["mgf"] = asdict(empirical_mgf(samples, (a, b, c)))
     return result
 
 
@@ -416,12 +409,10 @@ def cmd_verify(args) -> Tuple[dict, int]:
             raise UsageError(
                 f"suite {args.suite!r} does not take --{flag} (it takes: {accepted})"
             )
+    if args.suite == "heston-riccati" and args.steps is not None:
+        _riccati_steps(args.steps)
     report = run_suite(args.suite, **kwargs)
-    return {
-        "suite": report.suite,
-        "passed": report.passed,
-        "checks": [c.to_dict() for c in report.checks],
-    }, (0 if report.passed else 1)
+    return report.to_dict(), (0 if report.passed else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,7 @@ class CumulantEstimate:
 class MgfEstimate:
     value: float
     std_error: float
+    log_value: float  # log of the sample mean, finite where value under/overflows
     tail_share: float
     tail_warning: bool
 
@@ -423,8 +424,11 @@ def empirical_cumulants(
 def empirical_mgf(samples, weights: Tuple[float, float, float]) -> MgfEstimate:
     """Sample mean of exp(a*X + b*QV + c*zeta) with its standard error.
 
-    Flags tail dominance (top 0.1% of paths carrying more than 20% of the
-    mean), which signals that the plain average is no longer trustworthy.
+    ``log_value`` is the log of that mean taken as a log-mean-exp (shifted by
+    the largest exponent), so it stays finite where the mean itself under- or
+    overflows.  Flags tail dominance (top 0.1% of paths carrying more than
+    20% of the mean), which signals that the plain average is no longer
+    trustworthy.
     """
     a, b, c = (float(w) for w in weights)
     if isinstance(samples, Samples):
@@ -447,13 +451,16 @@ def empirical_mgf(samples, weights: Tuple[float, float, float]) -> MgfEstimate:
     accumulate(c, "zeta")
     if exponent is None:
         n = next(iter(cols.values())).size
-        return MgfEstimate(1.0, 0.0, max(1, int(0.001 * n)) / n, False)
+        return MgfEstimate(1.0, 0.0, 0.0, max(1, int(0.001 * n)) / n, False)
     w = np.exp(exponent)
     n = w.size
     value = float(w.mean())
     se = float(w.std(ddof=1) / math.sqrt(n))
+    shift = float(exponent.max())
+    shifted = np.exp(exponent - shift)  # largest weight 1: no overflow, mean >= 1/n
+    mean = float(shifted.mean())
     top = max(1, int(0.001 * n))
-    tail = float(np.sort(w)[-top:].sum() / (n * value))
+    tail = float(np.sort(shifted)[-top:].sum() / (n * mean))
     warning = tail > 0.20
     if warning:
         warnings.warn(
@@ -462,4 +469,4 @@ def empirical_mgf(samples, weights: Tuple[float, float, float]) -> MgfEstimate:
             RuntimeWarning,
             stacklevel=2,
         )
-    return MgfEstimate(value, se, tail, warning)
+    return MgfEstimate(value, se, shift + math.log(mean), tail, warning)

@@ -27,6 +27,8 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..algebra import format_fraction
+from ..expansions import cumulant_states
+from .levy import LevyState
 
 __all__ = [
     "shuffle",
@@ -293,15 +295,16 @@ def diamond_strat(a: str, i: str, b: str, j: str) -> SigExpr:
 
 
 def cameron_martin_q(n_max: int) -> Dict[int, Fraction]:
-    """The recursion q_1 = 1, q_n = 2/(2n-1) * sum_{i=1}^{n-1} q_i q_{n-i}."""
+    """The recursion q_1 = 1, q_n = 2/(2n-1) * sum_{i=1}^{n-1} q_i q_{n-i}.
+
+    It is the cumulant recursion in the J-family of the planar area, whose
+    product J^j <> J^k = 2/(j+k-1) J^{j+k} it shares: started from 2 J^2,
+    the state at order n is 2 q_n J^{2n}.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    q: Dict[int, Fraction] = {1: Fraction(1)}
-    for n in range(2, n_max + 1):
-        q[n] = Fraction(2, 2 * n - 1) * sum(
-            (q[i] * q[n - i] for i in range(1, n)), Fraction(0)
-        )
-    return q
+    states = cumulant_states({1: LevyState(coeffs={2: Fraction(2)})}, n_max)
+    return {n: st.coeffs[2 * n] / 2 for n, st in states.items()}
 
 
 def cameron_martin_cgf_coeffs(n_max: int) -> Dict[int, Fraction]:

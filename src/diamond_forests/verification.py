@@ -256,12 +256,11 @@ def suite_bessel(
         worst_margin = -math.inf
         for delta in deltas:
             cfg = SimConfig("BESQ", {"x": x, "delta": delta}, paths, 1, T, seed=seed)
-            xs = simulate(cfg).column("X")
+            samples = simulate(cfg)
             for lam in lams:
-                w = np.exp(-lam * xs)
-                se = float(w.std(ddof=1) / math.sqrt(w.size))
-                gap = abs(float(w.mean()) - bessel_laplace(x, delta, lam, T))
-                worst_margin = max(worst_margin, gap - 3 * se)
+                est = empirical_mgf(samples, (-lam, 0.0, 0.0))
+                gap = abs(est.value - bessel_laplace(x, delta, lam, T))
+                worst_margin = max(worst_margin, gap - 3 * est.std_error)
         checks.append(
             Check(
                 f"exact-sampler MC within 3 SE ({paths} draws)",
@@ -386,11 +385,8 @@ def suite_mc_cross(
     checks.append(Check("drifted-BM cumulants 1..4 (SE units)", z, 3.0))
 
     cfg = SimConfig("BESQ", {"x": 0.7, "delta": 2.0}, paths, 1, 1.0, seed=seed)
-    xs = simulate(cfg).column("X")
-    w = np.exp(-0.5 * xs)
-    z = abs(float(w.mean()) - bessel_laplace(0.7, 2.0, 0.5, 1.0)) / float(
-        w.std(ddof=1) / math.sqrt(w.size)
-    )
+    est_mgf = empirical_mgf(simulate(cfg), (-0.5, 0.0, 0.0))
+    z = abs(est_mgf.value - bessel_laplace(0.7, 2.0, 0.5, 1.0)) / est_mgf.std_error
     checks.append(Check("squared-radius exact sampler vs transform (SE units)", z, 3.0))
 
     cfg = SimConfig("LevyArea", {}, paths, steps, 1.0, seed=seed)
@@ -399,10 +395,8 @@ def suite_mc_cross(
     checks.append(Check("planar-area variance vs exact Euler law (SE units)", z, 3.0))
 
     cfg = SimConfig("StoppedBM", {"start": 0.2}, paths, steps, 8.0, seed=seed)
-    xs = simulate(cfg).column("X")
-    w = np.exp(0.4 * xs)
-    se_log = float(w.std(ddof=1) / math.sqrt(w.size) / w.mean())
-    z = abs(math.log(float(w.mean())) - stopped_bm_cgf(0.2, 0.4)) / se_log
+    est_mgf = empirical_mgf(simulate(cfg), (0.4, 0.0, 0.0))
+    z = abs(est_mgf.log_value - stopped_bm_cgf(0.2, 0.4)) / (est_mgf.std_error / est_mgf.value)
     checks.append(Check("stopped-BM exponent vs closed form (SE units)", z, 3.0))
 
     kern = KernelSpec.exponential(nu=0.3, lam=1.0)
@@ -417,7 +411,7 @@ def suite_mc_cross(
         seed=seed,
     )
     est_mgf = empirical_mgf(simulate(cfg), (0.25, 0.1, 0.0))
-    z = abs(math.log(est_mgf.value) - mv) / (est_mgf.std_error / est_mgf.value)
+    z = abs(est_mgf.log_value - mv) / (est_mgf.std_error / est_mgf.value)
     checks.append(Check("stochastic-volatility MGF vs solver (SE units)", z, 3.0))
 
     state = constant_kernel(1.0, 64)

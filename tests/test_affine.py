@@ -12,6 +12,7 @@ from diamond_forests.affine import (
     KernelSpec,
     heston_ode_reference,
     kappa_bar,
+    kernel_convolve,
     mgf_value,
     riccati_residual,
     solve_riccati,
@@ -185,6 +186,38 @@ def test_short_time_scaling_slopes():
         target = 1 + (k - 2) * alpha
         for s in slopes:
             assert abs(s - target) <= 0.02 * target
+
+
+# ---------------------------------------------------------------------------
+# product-integration convolution
+
+
+@pytest.mark.parametrize("kern", [EXP, POW], ids=["exp", "power"])
+@pytest.mark.parametrize("n", [2, 3, 17, 200])
+def test_kernel_convolve_matches_the_per_subinterval_sum(kern, n):
+    # reference: sum over kernel subintervals i < j of the left-node weight
+    # B[i] on v[j-i] and the right-node weight A[i] on v[j-1-i]
+    grid = np.linspace(0.0, 1.3, n)
+    v = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    m0, m1 = kern.moments(grid)
+    B = (grid[1:] * m0 - m1) / (grid[1] - grid[0])
+    A = m0 - B
+    want = [sum(A[i] * v[j - 1 - i] + B[i] * v[j - i] for i in range(j)) for j in range(n)]
+    got = kernel_convolve(kern, v, grid)
+    assert got[0] == 0.0
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("kern", [EXP, POW], ids=["exp", "power"])
+def test_riccati_march_solves_the_discrete_equation_of_kernel_convolve(kern):
+    # the march and kernel_convolve share one weight vector, so the solved g
+    # satisfies g = C + (q + kappa * g)^2 / 2 on the grid to rounding
+    a, b, c, rho, delta = 0.25, 0.1, 0.1, -0.7, 0.1
+    sol = solve_riccati(kern, rho, a, b, c, delta, horizon=1.0, n_steps=512)
+    C = b - 0.5 * a + 0.5 * (1.0 - rho * rho) * a * a
+    q = rho * a + c * kappa_bar(kern, sol.grid, delta)
+    defect = C + 0.5 * (q + kernel_convolve(kern, sol.g, sol.grid)) ** 2 - sol.g
+    assert np.max(np.abs(defect)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

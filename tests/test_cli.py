@@ -252,6 +252,17 @@ def test_mc_mgf_weights_on_brownian_motion():
     assert mgf["log_value"] == pytest.approx(math.log(mgf["value"]))
 
 
+def test_mc_mgf_log_value_where_every_weight_underflows():
+    # exp(-1000 X) underflows to 0 on every path; the log-mean-exp does not.
+    # Exact: -1000 mu + 1000^2 sigma^2 / 2 = -999.5 (SE of the log-mean about
+    # 0.0093 at 20 000 paths).
+    doc = run_json(["mc", "--model", "BMdrift", "--paths", "20000", "--param", "mu=1",
+                    "--param", "sigma=0.001", "--mgf=-1000,0,0"])
+    mgf = doc["result"]["mgf"]
+    assert mgf["value"] == 0.0
+    assert abs(mgf["log_value"] + 999.5) <= 0.05
+
+
 def test_mc_unknown_model_is_usage_error():
     assert cli.main(["mc", "--model", "Nope", "--paths", "200"]) == 2
 
@@ -304,6 +315,21 @@ def test_verify_forwards_exactly_the_given_flags(monkeypatch):
 def test_verify_flag_the_suite_does_not_take_is_usage_error(capsys):
     assert cli.main(["verify", "chaos2", "--order", "3"]) == 2
     assert "--order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["riccati", "--kernel", "exp", "--nu", "0.3", "--lambda", "1", "--rho", "-0.7",
+         "--a", "0.25", "--b", "0.1", "--T", "1", "--steps", "4"],
+        ["verify", "heston-riccati", "--steps", "4"],
+    ],
+    ids=["riccati", "verify"],
+)
+def test_too_few_riccati_steps_name_the_flag(argv, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--steps" in err and "n_steps" not in err
 
 
 def test_verify_failure_sets_exit_code(monkeypatch):

@@ -207,14 +207,8 @@ def test_strat_time_zero_shuffle_oracle():
     #               = delta_ij int_0^T E[Bhat^a Bhat^b] ds
     # and the product expands over the shuffle a sh b with Fawcett weights:
     # E[Bhat^a_s Bhat^b_s] = sum mult(w) sigma_w s^{(|a|+|b|)/2}.
-    # The recursion reproduces this exactly whenever a prefix is empty or
-    # |a| + |b| <= 3 (see diamond_strat); deeper pairs are pinned below.
-    pairs = [
-        (a, b)
-        for a, b in product(words_up_to(3), repeat=2)
-        if not a or not b or len(a) + len(b) <= 3
-    ]
-    assert ("1", "11") in pairs and ("", "111") in pairs
+    pairs = list(product(words_up_to(3), repeat=2))
+    assert len(pairs) == 225
     for a, b in pairs:
         expr = diamond_strat(a, "1", b, "1")
         coeffs = t0_dt_coefficients(expr)
@@ -351,6 +345,15 @@ def test_q_recursion_values():
     # spot-check the recursion by hand at n = 4
     expected4 = Fraction(2, 7) * (2 * q[1] * q[3] + q[2] * q[2])
     assert q[4] == expected4
+
+
+def test_q_equals_the_explicit_recursion_to_order_thirty():
+    want = {1: Fraction(1)}
+    for n in range(2, 31):
+        want[n] = Fraction(2, 2 * n - 1) * sum(
+            (want[i] * want[n - i] for i in range(1, n)), Fraction(0)
+        )
+    assert cameron_martin_q(30) == want
 
 
 def test_cgf_coefficients_first_three():
