@@ -27,13 +27,12 @@ singularity at tau = 0.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
 
 from .algebra import Forest, Tree
 from .errors import DomainError
@@ -324,7 +323,50 @@ class RiccatiSolution:
         return float(self.grid[-1])
 
     def interpolator(self) -> Callable[[np.ndarray], np.ndarray]:
-        return PchipInterpolator(self.grid, self.g)
+        """Monotone cubic (PCHIP, Fritsch-Carlson) interpolant of g on the grid,
+        extrapolating the end cubics; bit for bit scipy's ``PchipInterpolator``."""
+        return _pchip(self.grid, self.g)
+
+
+def _pchip_edge(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point end slope, clipped to keep the data's shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """PCHIP through (x, y), x strictly increasing with at least 3 points.
+
+    Interior slopes are the weighted harmonic mean of the neighbouring secants
+    (0 where they differ in sign or one vanishes); each interval holds the
+    cubic c3 + c2 s + c1 s^2 + c0 s^3 in s = x - x[i], with the coefficients
+    and the evaluation order of scipy's ``CubicHermiteSpline`` and ``PPoly``.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    d = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    d[0] = _pchip_edge(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_edge(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
+
+    def evaluate(points):
+        points = np.asarray(points, dtype=float)
+        i = np.clip(np.searchsorted(x, points, side="right") - 1, 0, x.size - 2)
+        s = points - x[i]
+        ss = s * s
+        return c3[i] + c2[i] * s + c1[i] * ss + c0[i] * (ss * s)
+
+    return evaluate
 
 
 def _riccati_march(
@@ -430,33 +472,49 @@ def heston_ode_reference(
     a: float,
     b: float,
     grid: np.ndarray,
-    rtol: float = 1e-12,
 ) -> np.ndarray:
-    """Reference g for the exponential kernel with c = 0 via a stiff-safe ODE.
+    """Exact g for the exponential kernel with c = 0 (classical Heston).
 
     For kappa = nu e^{-lam tau} the convolution psi = kappa * g satisfies
-    psi' = nu g - lam psi with psi(0) = 0 and g = C + (rho a + psi)^2 / 2;
-    an eighth-order integrator at tight tolerance serves as ground truth.
+    psi' = nu g - lam psi with psi(0) = 0, so y = rho a + psi solves the
+    constant-coefficient Riccati equation y' = (nu/2)(y - r+)(y - r-), with
+    r+- = (lam +- s)/nu and s = sqrt(lam^2 - 2 nu (nu C + lam rho a)) taken
+    in complex arithmetic.  Its solution on the "little Heston trap" branch
+    (e^{-s tau}, Re s >= 0; Albrecher-Mayer-Schoutens-Tistaert 2007),
+
+        y = (r- - G r+ e^{-s tau}) / (1 - G e^{-s tau}),   G = (y0 - r-)/(y0 - r+),
+
+    is evaluated as y = r- + d e^{-s tau} / (1 - (nu/2) d phi(tau)) with
+    d = y0 - r- and phi = (1 - e^{-s tau})/s, which holds the limits
+    y0 = r+ and s = 0 (phi = tau) without a branch; g = C + y^2/2.  A pole
+    of y in [0, grid[-1]] raises ``DomainError``.
     """
     if kernel.kind != "exp":
         raise ValueError("ODE reference only covers the exponential kernel")
+    nu, lam = kernel.nu, kernel.lam
     C = b - 0.5 * a + 0.5 * (1.0 - rho * rho) * a * a
-
-    def rhs(_tau, y):
-        g = C + 0.5 * (rho * a + y[0]) ** 2
-        return [kernel.nu * g - kernel.lam * y[0]]
-
-    sol = solve_ivp(
-        rhs,
-        [0.0, float(grid[-1])],
-        [0.0],
-        method="DOP853",
-        rtol=rtol,
-        atol=1e-14,
-        dense_output=True,
-    )
-    psi = sol.sol(grid)[0]
-    return C + 0.5 * (rho * a + psi) ** 2
+    k = nu * C + lam * rho * a
+    disc = lam * lam - 2.0 * nu * k
+    s = cmath.sqrt(disc)
+    r_minus = 2.0 * k / (lam + s)  # (lam - s)/nu without the cancellation
+    d = rho * a - r_minus
+    horizon = float(grid[-1])
+    if disc < 0.0:  # y = lam/nu + (w/nu) tan(w tau/2 + theta0) has a pole each period
+        w = s.imag
+        inside = (math.pi - 2.0 * math.atan((nu * rho * a - lam) / w)) / w <= horizon
+    else:  # (nu/2) d phi(tau) increases from 0 and reaches 1 at the pole
+        phi_end = horizon if s == 0 else -math.expm1(-s.real * horizon) / s.real
+        inside = 0.5 * nu * d.real * phi_end >= 1.0
+    if inside:
+        raise DomainError(
+            f"the Heston Riccati solution has a pole inside the window "
+            f"[0, {horizon:g}]; weights (a, b) outside the domain"
+        )
+    tau = np.asarray(grid, dtype=float)
+    decay = np.exp(-s * tau)
+    phi = tau if s == 0 else -np.expm1(-s * tau) / s
+    y = (r_minus + d * decay / (1.0 - 0.5 * nu * d * phi)).real
+    return C + 0.5 * y * y
 
 
 # ---------------------------------------------------------------------------

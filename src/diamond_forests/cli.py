@@ -279,7 +279,9 @@ def cmd_cameron_martin(args) -> dict:
     }
     if args.lam is not None:
         result["cgf_value"] = cameron_martin_cgf(args.lam, args.order)
-        result["closed_form"] = -0.5 * math.log(math.cosh(math.sqrt(2 * args.lam)))
+        root = math.sqrt(2 * abs(args.lam))
+        cosine = math.cosh(root) if args.lam >= 0 else math.cos(root)
+        result["closed_form"] = -0.5 * math.log(cosine)
     return result
 
 
@@ -329,10 +331,14 @@ def cmd_signature(args) -> dict:
     return result
 
 
-def _riccati_steps(steps: int) -> int:
-    if steps < MIN_STEPS:  # refused under the flag's own name
-        raise UsageError(f"--steps must be >= {MIN_STEPS} for the Riccati solve, got {steps}")
+def _steps(steps: int, minimum: int, purpose: str) -> int:
+    if steps < minimum:  # refused under the flag's own name
+        raise UsageError(f"--steps must be >= {minimum} for {purpose}, got {steps}")
     return steps
+
+
+def _riccati_steps(steps: int) -> int:
+    return _steps(steps, MIN_STEPS, "the Riccati solve")
 
 
 def cmd_riccati(args) -> dict:
@@ -371,8 +377,9 @@ def cmd_mc(args) -> dict:
             raise UsageError(f"--param {spec!r}: value must be numeric") from exc
     if args.kernel is not None:
         params["kernel"] = read_kernel_csv(args.kernel, args.T).kernel
+    steps = _steps(args.steps, 1, "the simulation")
     try:
-        cfg = SimConfig(args.model, params, args.paths, args.steps, args.T, args.seed)
+        cfg = SimConfig(args.model, params, args.paths, steps, args.T, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     samples = simulate(cfg)
@@ -409,8 +416,11 @@ def cmd_verify(args) -> Tuple[dict, int]:
             raise UsageError(
                 f"suite {args.suite!r} does not take --{flag} (it takes: {accepted})"
             )
-    if args.suite == "heston-riccati" and args.steps is not None:
-        _riccati_steps(args.steps)
+    if args.steps is not None:
+        if args.suite == "heston-riccati":
+            _riccati_steps(args.steps)
+        else:
+            _steps(args.steps, 1, "the simulation")
     report = run_suite(args.suite, **kwargs)
     return report.to_dict(), (0 if report.passed else 1)
 

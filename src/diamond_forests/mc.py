@@ -108,6 +108,7 @@ class MgfEstimate:
     value: float
     std_error: float
     log_value: float  # log of the sample mean, finite where value under/overflows
+    log_std_error: float  # delta-method standard error of log_value
     tail_share: float
     tail_warning: bool
 
@@ -426,9 +427,10 @@ def empirical_mgf(samples, weights: Tuple[float, float, float]) -> MgfEstimate:
 
     ``log_value`` is the log of that mean taken as a log-mean-exp (shifted by
     the largest exponent), so it stays finite where the mean itself under- or
-    overflows.  Flags tail dominance (top 0.1% of paths carrying more than
-    20% of the mean), which signals that the plain average is no longer
-    trustworthy.
+    overflows; ``log_std_error`` is its delta-method standard error
+    sd(w) / (sqrt(n) mean(w)) on the same shifted weights.  Flags tail
+    dominance (top 0.1% of paths carrying more than 20% of the mean), which
+    signals that the plain average is no longer trustworthy.
     """
     a, b, c = (float(w) for w in weights)
     if isinstance(samples, Samples):
@@ -451,7 +453,7 @@ def empirical_mgf(samples, weights: Tuple[float, float, float]) -> MgfEstimate:
     accumulate(c, "zeta")
     if exponent is None:
         n = next(iter(cols.values())).size
-        return MgfEstimate(1.0, 0.0, 0.0, max(1, int(0.001 * n)) / n, False)
+        return MgfEstimate(1.0, 0.0, 0.0, 0.0, max(1, int(0.001 * n)) / n, False)
     w = np.exp(exponent)
     n = w.size
     value = float(w.mean())
@@ -459,6 +461,7 @@ def empirical_mgf(samples, weights: Tuple[float, float, float]) -> MgfEstimate:
     shift = float(exponent.max())
     shifted = np.exp(exponent - shift)  # largest weight 1: no overflow, mean >= 1/n
     mean = float(shifted.mean())
+    log_se = float(shifted.std(ddof=1) / (math.sqrt(n) * mean))
     top = max(1, int(0.001 * n))
     tail = float(np.sort(shifted)[-top:].sum() / (n * mean))
     warning = tail > 0.20
@@ -469,4 +472,4 @@ def empirical_mgf(samples, weights: Tuple[float, float, float]) -> MgfEstimate:
             RuntimeWarning,
             stacklevel=2,
         )
-    return MgfEstimate(value, se, shift + math.log(mean), tail, warning)
+    return MgfEstimate(value, se, shift + math.log(mean), log_se, tail, warning)

@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..algebra import format_fraction
+from ..errors import DomainError
 from ..expansions import cumulant_states
 from .levy import LevyState
 
@@ -318,6 +319,15 @@ def cameron_martin_cgf_coeffs(n_max: int) -> Dict[int, Fraction]:
 
 
 def cameron_martin_cgf(lam: float, n_max: int) -> float:
-    """Numeric partial sum of the CGF at lambda (order n_max)."""
+    """Numeric partial sum of the CGF at lambda (order n_max).
+
+    The series sums to -(1/2) log cosh sqrt(2 lambda), whose nearest
+    singularity is the zero of cos sqrt(2 |lambda|) at lambda = -pi^2/8; for
+    |lambda| >= pi^2/8 it diverges and a DomainError is raised.
+    """
+    if abs(lam) >= math.pi**2 / 8:
+        raise DomainError(
+            f"|lambda| = {abs(lam)} is outside the convergence domain |lambda| < pi^2/8"
+        )
     coeffs = cameron_martin_cgf_coeffs(n_max)
     return sum(float(c) * lam**n for n, c in coeffs.items())

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
+from scipy.interpolate import PchipInterpolator
 
 from diamond_forests.affine import (
     ForwardVarianceCurve,
     HFunction,
     KernelSpec,
+    RiccatiSolution,
     heston_ode_reference,
     kappa_bar,
     kernel_convolve,
@@ -251,6 +253,70 @@ def test_riccati_heston_ode_other_parameters():
     sol = solve_riccati(kern, rho, a, b, 0.0, 0.1, horizon=1.5, n_steps=4096)
     ref = heston_ode_reference(kern, rho, a, b, sol.grid)
     assert np.max(np.abs(sol.g - ref)) <= 1e-6
+
+
+def dop853_reference(kern, rho, a, b, grid):
+    """g from psi' = nu g - lam psi, psi(0) = 0, integrated by DOP853 at rtol 1e-12."""
+    C = b - 0.5 * a + 0.5 * (1.0 - rho * rho) * a * a
+
+    def rhs(_tau, y):
+        return [kern.nu * (C + 0.5 * (rho * a + y[0]) ** 2) - kern.lam * y[0]]
+
+    sol = solve_ivp(rhs, [0.0, float(grid[-1])], [0.0], method="DOP853",
+                    rtol=1e-12, atol=1e-14, dense_output=True)
+    return C + 0.5 * (rho * a + sol.sol(grid)[0]) ** 2
+
+
+def test_heston_closed_form_matches_dop853_on_seeded_draws():
+    rng = np.random.default_rng(2024)
+    complex_roots = 0
+    for _ in range(120):
+        nu, lam = rng.uniform(0.1, 1.0), rng.uniform(0.2, 3.0)
+        rho, a, b = rng.uniform(-0.95, 0.95), rng.uniform(-1.0, 1.0), rng.uniform(-0.5, 1.0)
+        kern = KernelSpec.exponential(nu=nu, lam=lam)
+        grid = np.linspace(0.0, rng.uniform(0.25, 2.0), 129)
+        ref = dop853_reference(kern, rho, a, b, grid)
+        got = heston_ode_reference(kern, rho, a, b, grid)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+        C = b - 0.5 * a + 0.5 * (1.0 - rho * rho) * a * a
+        complex_roots += lam * lam < 2.0 * nu * (nu * C + lam * rho * a)
+    assert complex_roots >= 10  # both root branches are drawn
+
+
+def test_heston_closed_form_limits():
+    kern = KernelSpec.exponential(nu=1.0, lam=1.0)
+    grid = np.linspace(0.0, 2.0, 65)
+    # double root (s = 0): lam^2 = 2 nu (nu C + lam rho a) with C = b = 1/2
+    ref = dop853_reference(kern, 0.0, 0.0, 0.5, grid)
+    got = heston_ode_reference(kern, 0.0, 0.0, 0.5, grid)
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+    # y0 = rho a = 2 sits on the root r+ = 2, so y stays there and g = 0
+    assert np.max(np.abs(heston_ode_reference(kern, 1.0, 2.0, -1.0, grid))) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "rho, a, b, pole",
+    [(0.0, 0.0, 1.0, 1.5 * math.pi), (1.0, 3.0, -1.5, math.log(3.0))],
+    ids=["complex-roots", "real-roots"],
+)
+def test_heston_closed_form_pole_in_window_raises(rho, a, b, pole):
+    kern = KernelSpec.exponential(nu=1.0, lam=1.0)
+    heston_ode_reference(kern, rho, a, b, np.linspace(0.0, 0.99 * pole, 33))
+    with pytest.raises(DomainError, match="pole"):
+        heston_ode_reference(kern, rho, a, b, np.linspace(0.0, 1.01 * pole, 33))
+
+
+def test_interpolator_is_bitwise_scipy_pchip():
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        n = int(rng.integers(3, 60))
+        x = np.linspace(0.0, 1.0, n) if trial % 2 else np.sort(rng.uniform(-2.0, 2.0, n))
+        y = np.round(rng.normal(size=n), 1)  # equal neighbours make flat steps
+        y[rng.random(n) < 0.3] = 0.0
+        # grid points, off-grid points and points past either end
+        points = np.concatenate([x, rng.uniform(x[0] - 1.0, x[-1] + 1.0, 200)])
+        sol = RiccatiSolution(x, y, EXP, 0.0, 0.0, 0.0, 0.0, 0.1)
+        assert np.array_equal(sol.interpolator()(points), PchipInterpolator(x, y)(points))
 
 
 @pytest.mark.parametrize("alpha", [0.6, 0.75])

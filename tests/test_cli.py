@@ -141,6 +141,20 @@ def test_cameron_martin_leading_coefficients():
     assert abs(doc["result"]["closed_form"] - closed) < 1e-15
 
 
+def test_cameron_martin_negative_lambda_uses_the_cosine_branch():
+    # -1/2 log cos sqrt(2) = 0.92913...; at lambda < 0 every term of the series
+    # is positive and the order-40 tail is about 1.1e-5 (ratio 8/pi^2 per order)
+    res = run_json(["cameron-martin", "--order", "40", "--lam", "-1"])["result"]
+    assert abs(res["closed_form"] - 0.92913) < 1e-5
+    assert 0.0 < res["closed_form"] - res["cgf_value"] <= 2e-5
+
+
+def test_cameron_martin_outside_the_radius_is_domain_error(capsys):
+    # the series diverges at |lambda| >= pi^2/8; it used to print 1 891 750
+    assert cli.main(["cameron-martin", "--order", "40", "--lam", "2"]) == 3
+    assert "pi^2/8" in capsys.readouterr().err
+
+
 def test_signature_strat_square_value():
     doc = run_json(["signature", "--left", "11", "--right", "11",
                     "--mode", "strat", "--T", "0.5"])
@@ -261,6 +275,9 @@ def test_mc_mgf_log_value_where_every_weight_underflows():
     mgf = doc["result"]["mgf"]
     assert mgf["value"] == 0.0
     assert abs(mgf["log_value"] + 999.5) <= 0.05
+    # std_error / value is 0/0 here; the log's own standard error is not
+    assert mgf["std_error"] == 0.0
+    assert 0.005 <= mgf["log_std_error"] <= 0.015
 
 
 def test_mc_unknown_model_is_usage_error():
@@ -332,6 +349,21 @@ def test_too_few_riccati_steps_name_the_flag(argv, capsys):
     assert "--steps" in err and "n_steps" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc", "--model", "BMdrift", "--paths", "200", "--steps", "0"],
+        ["verify", "levy", "--paths", "2000", "--steps", "0"],
+        ["verify", "mc-cross", "--steps", "0"],
+    ],
+    ids=["mc", "verify-levy", "verify-mc-cross"],
+)
+def test_zero_simulation_steps_name_the_flag(argv, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--steps" in err and "n_steps" not in err
+
+
 def test_verify_failure_sets_exit_code(monkeypatch):
     def failing_suite():
         return SuiteReport("reorder", [Check("forced failure", 1.0, 0.0)])
@@ -382,6 +414,14 @@ def test_config_file_malformed_line(tmp_path):
 
 # ---------------------------------------------------------------------------
 # module entry point
+
+
+def test_cli_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, diamond_forests.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_module_entry_point_subprocess():

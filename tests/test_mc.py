@@ -224,14 +224,17 @@ def test_empirical_mgf_log_value_survives_under_and_overflow():
     x = np.linspace(0.0, 1.0, 2000)
     w = np.exp(x)
     want = math.log(w.mean())
+    want_se = w.std(ddof=1) / (math.sqrt(w.size) * w.mean())
     tail = np.sort(w)[-2:].sum() / w.sum()
     for shift, value in ((-1000.0, 0.0), (0.0, w.mean()), (1000.0, math.inf)):
         with np.errstate(over="ignore", invalid="ignore"):
             est = empirical_mgf({"X": x + shift}, (1.0, 0.0, 0.0))
         assert est.log_value == pytest.approx(shift + want, abs=1e-12)
+        assert est.log_std_error == pytest.approx(want_se, rel=1e-12)
         assert est.value == pytest.approx(value)
         assert est.tail_share == pytest.approx(tail) and not est.tail_warning
-    assert empirical_mgf({"X": x}, (0.0, 0.0, 0.0)).log_value == 0.0
+    none = empirical_mgf({"X": x}, (0.0, 0.0, 0.0))
+    assert none.log_value == 0.0 and none.log_std_error == 0.0
 
 
 def test_empirical_mgf_tail_warning():

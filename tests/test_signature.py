@@ -7,6 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from diamond_forests.errors import DomainError
 from diamond_forests.models.signature import (
     SigExpr,
     _strat_weights,
@@ -377,6 +378,15 @@ def test_cgf_numeric_value():
     lam = 0.3
     truth = -0.5 * math.log(math.cosh(math.sqrt(2 * lam)))
     assert cameron_martin_cgf(lam, 40) == pytest.approx(truth, abs=1e-12)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_cgf_refuses_outside_the_radius(sign):
+    # radius pi^2/8: the zero of cos sqrt(2 |lambda|) at lambda = -pi^2/8
+    radius = math.pi**2 / 8
+    assert math.isfinite(cameron_martin_cgf(sign * 0.99 * radius, 20))
+    with pytest.raises(DomainError):
+        cameron_martin_cgf(sign * 1.01 * radius, 20)
 
 
 def test_word_validation():
