@@ -4,7 +4,7 @@ Output is a versioned JSON envelope (schema "diamond-forests/1") with sorted
 keys, so identical invocations produce byte-identical reports.  Exact rational
 quantities are serialized as "p/q" strings; floats use the shortest decimal
 that round-trips.  Exit codes: 0 success, 1 verify ran but a check failed,
-2 usage error, 3 numeric-domain error.
+2 usage error, 3 numeric-domain error, 4 internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import io
 import json
 import math
 import sys
+import traceback
 from dataclasses import asdict
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -33,7 +34,14 @@ from .affine import (
 from .algebra import Tree, format_fraction, parse_poly
 from .errors import DomainError
 from .expansions import g_expansion, k_expansion, spx_g_expansion, specialize
-from .mc import SimConfig, empirical_cumulants, empirical_mgf, simulate
+from .mc import (
+    MAX_CUMULANT_ORDER,
+    MIN_PATHS,
+    SimConfig,
+    empirical_cumulants,
+    empirical_mgf,
+    simulate,
+)
 from .models.bessel import bessel_laplace, bessel_laplace_series
 from .models.chaos2 import (
     Chaos2State,
@@ -331,14 +339,15 @@ def cmd_signature(args) -> dict:
     return result
 
 
-def _steps(steps: int, minimum: int, purpose: str) -> int:
-    if steps < minimum:  # refused under the flag's own name
-        raise UsageError(f"--steps must be >= {minimum} for {purpose}, got {steps}")
-    return steps
-
-
-def _riccati_steps(steps: int) -> int:
-    return _steps(steps, MIN_STEPS, "the Riccati solve")
+def _flag(
+    name: str, value: int, minimum: int, purpose: str, maximum: Optional[int] = None
+) -> int:
+    """Refuse a value outside [minimum, maximum] under the flag's own name."""
+    if value < minimum:
+        raise UsageError(f"--{name} must be >= {minimum} for {purpose}, got {value}")
+    if maximum is not None and value > maximum:
+        raise UsageError(f"--{name} must be <= {maximum} for {purpose}, got {value}")
+    return value
 
 
 def cmd_riccati(args) -> dict:
@@ -350,9 +359,9 @@ def cmd_riccati(args) -> dict:
         if args.alpha is None:
             raise UsageError("power-law kernel needs --alpha")
         kern = KernelSpec.power_law(nu=args.nu, alpha=args.alpha)
+    steps = _flag("steps", args.steps, MIN_STEPS, "the Riccati solve")
     sol = solve_riccati(
-        kern, args.rho, args.a, args.b, args.c, args.delta,
-        horizon=args.T, n_steps=_riccati_steps(args.steps),
+        kern, args.rho, args.a, args.b, args.c, args.delta, horizon=args.T, n_steps=steps
     )
     curve = read_curve_csv(args.curve) if args.curve else ForwardVarianceCurve.flat(args.xi0)
     return {
@@ -377,9 +386,13 @@ def cmd_mc(args) -> dict:
             raise UsageError(f"--param {spec!r}: value must be numeric") from exc
     if args.kernel is not None:
         params["kernel"] = read_kernel_csv(args.kernel, args.T).kernel
-    steps = _steps(args.steps, 1, "the simulation")
+    steps = _flag("steps", args.steps, 1, "the simulation")
+    paths = _flag("paths", args.paths, MIN_PATHS, "the simulation")
+    max_order = _flag(
+        "max-order", args.max_order, 1, "the cumulant estimates", MAX_CUMULANT_ORDER
+    )
     try:
-        cfg = SimConfig(args.model, params, args.paths, steps, args.T, args.seed)
+        cfg = SimConfig(args.model, params, paths, steps, args.T, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     samples = simulate(cfg)
@@ -391,7 +404,10 @@ def cmd_mc(args) -> dict:
     if column is None and len(samples.columns) == 1:
         column = next(iter(samples.columns))
     if column is not None:
-        estimates = empirical_cumulants(samples, args.max_order, column=column)
+        if column not in samples.columns:
+            raise UsageError(f"--column {column!r}: {args.model} samples carry "
+                             f"{result['columns']}")
+        estimates = empirical_cumulants(samples, max_order, column=column)
         result["estimates"] = [asdict(e) for e in estimates]
     if args.mgf is not None:
         try:
@@ -418,9 +434,15 @@ def cmd_verify(args) -> Tuple[dict, int]:
             )
     if args.steps is not None:
         if args.suite == "heston-riccati":
-            _riccati_steps(args.steps)
+            _flag("steps", args.steps, MIN_STEPS, "the Riccati solve")
         else:
-            _steps(args.steps, 1, "the simulation")
+            _flag("steps", args.steps, 1, "the simulation")
+    if args.paths is not None:
+        # a suite whose own default is --paths 0 reads 0 as "no Monte Carlo check"
+        optional = takes["paths"].default == 0
+        if not (optional and args.paths == 0):
+            purpose = "the Monte Carlo check" + (" (0 skips it)" if optional else "")
+            _flag("paths", args.paths, MIN_PATHS, purpose)
     report = run_suite(args.suite, **kwargs)
     return report.to_dict(), (0 if report.passed else 1)
 
@@ -614,6 +636,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # exit 1 is reserved for a failed verification
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 4
     sys.stdout.write(out)
     return code
 

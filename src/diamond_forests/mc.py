@@ -13,7 +13,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from .errors import DomainError
 
 __all__ = [
     "BLOCK_PATHS",
+    "MIN_PATHS",
+    "MAX_CUMULANT_ORDER",
     "THREADS_ENV",
     "MODELS",
     "SimConfig",
@@ -33,6 +35,8 @@ __all__ = [
 ]
 
 BLOCK_PATHS = 1 << 16
+MIN_PATHS = 100
+MAX_CUMULANT_ORDER = 6
 THREADS_ENV = "DIAMOND_FORESTS_THREADS"
 MODELS = ("BMdrift", "LevyArea", "BESQ", "Heston", "StoppedBM", "Chaos2")
 
@@ -51,8 +55,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; choose from {MODELS}")
-        if self.n_paths < 100:
-            raise ValueError("n_paths must be >= 100")
+        if self.n_paths < MIN_PATHS:
+            raise ValueError(f"n_paths must be >= {MIN_PATHS}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if not self.horizon > 0:
@@ -100,7 +104,7 @@ class CumulantEstimate:
     order: int
     value: float
     std_error: float
-    method: str  # "k-statistic" or "bootstrap"
+    method: str  # "k-statistic" (orders 1-4) or "plug-in" (orders 5-6)
 
 
 @dataclass(frozen=True)
@@ -302,45 +306,42 @@ def _as_array(samples, column: Optional[str]) -> np.ndarray:
     return data
 
 
-def _central_moments(x: np.ndarray, up_to: int) -> Dict[int, float]:
+def _central_moments(x: np.ndarray, up_to: int) -> List[float]:
+    """Raw moments [1, 0, m_2, ..., m_up_to] of the sample centred at its mean,
+    by in-place powers: one pass per order, O(n) extra memory."""
     d = x - x.mean()
-    out: Dict[int, float] = {}
     p = d.copy()
-    for r in range(2, up_to + 1):
-        p = p * d
-        out[r] = float(p.mean())
-    return out
+    mu = [1.0, 0.0]
+    for _ in range(2, up_to + 1):
+        p *= d
+        mu.append(float(p.mean()))
+    return mu
 
 
-def _plugin_cumulants(x: np.ndarray, up_to: int) -> Dict[int, float]:
-    """Cumulants from central moments (plug-in, no small-sample correction)."""
-    m = _central_moments(x, max(up_to, 2))
-    k: Dict[int, float] = {1: float(x.mean()), 2: m[2]}
-    if up_to >= 3:
-        k[3] = m[3]
-    if up_to >= 4:
-        k[4] = m[4] - 3 * m[2] ** 2
-    if up_to >= 5:
-        k[5] = m[5] - 10 * m[3] * m[2]
-    if up_to >= 6:
-        k[6] = m[6] - 15 * m[4] * m[2] - 10 * m[3] ** 2 + 30 * m[2] ** 3
-    if up_to >= 8:
-        k[8] = (
-            m[8]
-            - 28 * m[6] * m[2]
-            - 56 * m[5] * m[3]
-            - 35 * m[4] ** 2
-            + 420 * m[4] * m[2] ** 2
-            + 560 * m[3] ** 2 * m[2]
-            - 630 * m[2] ** 4
-        )
-    return k
+def _cumulants_and_gradients(mu: Sequence[float], r: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Cumulants kappa_0..kappa_r of raw moments mu_0..mu_r (mu_0 = 1) and their
+    gradients, row n holding d kappa_n / d mu_j for j = 0..r.
+
+    Runs the moment-cumulant recursion
+    kappa_n = mu_n - sum_{m<n} C(n-1, m-1) kappa_m mu_{n-m}
+    and differentiates it in the same loop.
+    """
+    kap = np.zeros(r + 1)
+    grad = np.zeros((r + 1, r + 1))
+    for n in range(1, r + 1):
+        kap[n] = mu[n]
+        grad[n, n] = 1.0
+        for m in range(1, n):
+            c = math.comb(n - 1, m - 1)
+            kap[n] -= c * kap[m] * mu[n - m]
+            grad[n] -= c * mu[n - m] * grad[m]
+            grad[n, n - m] -= c * kap[m]
+    return kap, grad
 
 
-def _k_statistics(x: np.ndarray, up_to: int) -> Dict[int, float]:
-    n = x.size
-    m = _central_moments(x, max(up_to, 2))
-    k: Dict[int, float] = {1: float(x.mean())}
+def _k_statistics(mean: float, m: Sequence[float], n: int, up_to: int) -> Dict[int, float]:
+    """Unbiased k-statistics k_1..k_up_to (up_to <= 4) from the central moments."""
+    k: Dict[int, float] = {1: mean}
     k[2] = n / (n - 1) * m[2]
     if up_to >= 3:
         k[3] = n * n / ((n - 1) * (n - 2)) * m[3]
@@ -352,74 +353,43 @@ def _k_statistics(x: np.ndarray, up_to: int) -> Dict[int, float]:
     return k
 
 
-def _k_statistic_variances(x: np.ndarray, up_to: int) -> Dict[int, float]:
-    """Large-sample sampling variances of k1..k4 with cumulants plugged in."""
-    n = x.size
-    hi = 8 if up_to >= 4 else (6 if up_to >= 3 else 4)
-    kap = _plugin_cumulants(x, hi)
-    k2, k3, k4 = kap[2], kap.get(3, 0.0), kap.get(4, 0.0)
-    out = {1: k2 / n, 2: k4 / n + 2 * k2**2 / (n - 1)}
-    if up_to >= 3:
-        out[3] = (
-            kap[6] / n
-            + 9 * k2 * k4 / (n - 1)
-            + 9 * k3**2 / (n - 1)
-            + 6 * n * k2**3 / ((n - 1) * (n - 2))
-        )
-    if up_to >= 4:
-        out[4] = (
-            kap[8] / n
-            + 16 * k2 * kap[6] / (n - 1)
-            + 48 * k3 * kap[5] / (n - 1)
-            + 34 * k4**2 / (n - 1)
-            + 72 * n * k2**2 * k4 / ((n - 1) * (n - 2))
-            + 144 * n * k2 * k3**2 / ((n - 1) * (n - 2))
-            + 24 * n * (n + 1) * k2**4 / ((n - 1) * (n - 2) * (n - 3))
-        )
-    return out
-
-
 def empirical_cumulants(
-    samples,
-    max_order: int,
-    column: Optional[str] = None,
-    bootstrap_resamples: int = 200,
-    bootstrap_seed: int = 0,
+    samples, max_order: int, column: Optional[str] = None
 ) -> List[CumulantEstimate]:
     """Cumulant estimates with standard errors.
 
-    Orders 1-4 use unbiased k-statistics with the classical large-sample
-    variance formulas (higher cumulants plugged in from the same sample).
-    Orders 5-6 use plug-in sample cumulants with a bootstrap standard error.
+    Orders 1-4 are the unbiased k-statistics; orders 5-6 are the plug-in
+    sample cumulants.  Every order takes the delta-method standard error of
+    the plug-in cumulant through the moment-cumulant recursion (McCullagh,
+    *Tensor Methods in Statistics*, ch. 4): SE_r^2 = g_r' S g_r / n, with g_r
+    the gradient of kappa_r in the raw moments mu_1..mu_r of the centred
+    sample and S_ij = mu_{i+j} - mu_i mu_j, so it needs moments up to 2r.
     """
-    if not 1 <= max_order <= 6:
-        raise ValueError("max_order must be between 1 and 6")
+    if not 1 <= max_order <= MAX_CUMULANT_ORDER:
+        raise ValueError(f"max_order must be between 1 and {MAX_CUMULANT_ORDER}")
     x = _as_array(samples, column)
     n = x.size
     if n <= 10 * max_order:
         raise DomainError(
             f"need more than {10 * max_order} samples for order {max_order}, got {n}"
         )
-    lo = min(max_order, 4)
-    ks = _k_statistics(x, lo)
-    vs = _k_statistic_variances(x, lo)
-    out = [
-        CumulantEstimate(r, ks[r], math.sqrt(max(vs[r], 0.0)), "k-statistic")
-        for r in range(1, lo + 1)
+    mu = _central_moments(x, 2 * max_order)
+    kap, grad = _cumulants_and_gradients(mu, max_order)
+    j = np.arange(1, max_order + 1)
+    m = np.asarray(mu)
+    cov = m[j[:, None] + j] - np.outer(m[j], m[j])
+    g = grad[1:, 1:]
+    var = np.einsum("ri,ij,rj->r", g, cov, g) / n
+    ks = _k_statistics(float(x.mean()), mu, n, min(max_order, 4))
+    return [
+        CumulantEstimate(
+            r,
+            ks[r] if r in ks else float(kap[r]),
+            math.sqrt(max(float(var[r - 1]), 0.0)),
+            "k-statistic" if r in ks else "plug-in",
+        )
+        for r in range(1, max_order + 1)
     ]
-    if max_order >= 5:
-        point = _plugin_cumulants(x, max_order)
-        rng = np.random.Generator(np.random.Philox(key=[bootstrap_seed, 0xB0075]))
-        reps: Dict[int, List[float]] = {r: [] for r in range(5, max_order + 1)}
-        for _ in range(bootstrap_resamples):
-            idx = rng.integers(0, n, n)
-            kb = _plugin_cumulants(x[idx], max_order)
-            for r in reps:
-                reps[r].append(kb[r])
-        for r in range(5, max_order + 1):
-            se = float(np.std(reps[r], ddof=1))
-            out.append(CumulantEstimate(r, point[r], se, "bootstrap"))
-    return out
 
 
 def empirical_mgf(samples, weights: Tuple[float, float, float]) -> MgfEstimate:

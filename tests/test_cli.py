@@ -284,6 +284,11 @@ def test_mc_unknown_model_is_usage_error():
     assert cli.main(["mc", "--model", "Nope", "--paths", "200"]) == 2
 
 
+def test_mc_unknown_column_is_usage_error(capsys):
+    assert cli.main(["mc", "--model", "BMdrift", "--paths", "200", "--column", "Y"]) == 2
+    assert "--column" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify plumbing and exit codes
 
@@ -362,6 +367,42 @@ def test_zero_simulation_steps_name_the_flag(argv, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "--steps" in err and "n_steps" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, keyword",
+    [
+        (["mc", "--model", "BMdrift", "--paths", "50"], "--paths", "n_paths"),
+        (["verify", "mc-cross", "--paths", "50"], "--paths", "n_paths"),
+        (["mc", "--model", "BMdrift", "--paths", "1000", "--max-order", "7"],
+         "--max-order", "max_order"),
+    ],
+    ids=["mc-paths", "verify-mc-cross-paths", "mc-max-order"],
+)
+def test_out_of_range_flags_name_the_flag(argv, flag, keyword, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert flag in err and keyword not in err
+
+
+@pytest.mark.parametrize("suite", ["levy", "bessel"])
+def test_negative_paths_are_refused(suite, capsys):
+    assert cli.main(["verify", suite, "--paths", "-5"]) == 2
+    assert "--paths" in capsys.readouterr().err
+    # 0 still means "no Monte Carlo check"
+    doc = run_json(["verify", suite, "--paths", "0"])
+    assert doc["result"]["passed"] is True
+    assert not any("MC" in c["name"] for c in doc["result"]["checks"])
+
+
+def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.DISPATCH, "levy", broken)
+    assert cli.main(["levy"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: boom") and "Traceback" in err
 
 
 def test_verify_failure_sets_exit_code(monkeypatch):

@@ -17,6 +17,8 @@ from diamond_forests.errors import DomainError
 from diamond_forests.mc import (
     BLOCK_PATHS,
     SimConfig,
+    _central_moments,
+    _cumulants_and_gradients,
     _thread_cap,
     empirical_cumulants,
     empirical_mgf,
@@ -186,9 +188,86 @@ def test_centered_chi_square_cumulants_through_order_six():
     rng = np.random.Generator(np.random.Philox(key=[42, 0]))
     y = (rng.standard_normal(400_000) ** 2 - 1.0) / 2.0
     want = {1: 0.0, 2: 0.5, 3: 1.0, 4: 3.0, 5: 12.0, 6: 60.0}
-    for e in empirical_cumulants(y, 6, bootstrap_resamples=100):
+    for e in empirical_cumulants(y, 6):
         assert abs(e.value - want[e.order]) <= 3.5 * e.std_error
-        assert e.method == ("bootstrap" if e.order >= 5 else "k-statistic")
+        assert e.method == ("plug-in" if e.order >= 5 else "k-statistic")
+
+
+def _stirling2(n, k):
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+
+
+def test_cumulant_recursion_and_gradient_on_poisson_moments():
+    # Poisson(lam) has raw moments sum_k S(n, k) lam^k and every cumulant lam
+    lam, r = 0.7, 6
+    mu = [sum(_stirling2(n, k) * lam**k for k in range(n + 1)) for n in range(r + 1)]
+    kap, grad = _cumulants_and_gradients(mu, r)
+    assert kap[1:] == pytest.approx([lam] * r, rel=1e-12)
+    h = 1e-5
+    fd = np.zeros_like(grad)
+    for j in range(1, r + 1):
+        up, down = list(mu), list(mu)
+        up[j] += h
+        down[j] -= h
+        fd[:, j] = (_cumulants_and_gradients(up, r)[0] - _cumulants_and_gradients(down, r)[0]) / (2 * h)
+    np.testing.assert_allclose(grad[:, 1:], fd[:, 1:], rtol=1e-6, atol=1e-6 * np.abs(grad).max())
+    assert not grad[:, 0].any()
+
+
+def _fisher_variances(x):
+    """Large-sample variances of k1..k4 (Fisher), cumulants to order 8 plugged in."""
+    n = x.size
+    m = _central_moments(x, 8)
+    k2, k3, k4 = m[2], m[3], m[4] - 3 * m[2] ** 2
+    k5 = m[5] - 10 * m[3] * m[2]
+    k6 = m[6] - 15 * m[4] * m[2] - 10 * m[3] ** 2 + 30 * m[2] ** 3
+    k8 = (
+        m[8] - 28 * m[6] * m[2] - 56 * m[5] * m[3] - 35 * m[4] ** 2
+        + 420 * m[4] * m[2] ** 2 + 560 * m[3] ** 2 * m[2] - 630 * m[2] ** 4
+    )
+    return [
+        k2 / n,
+        k4 / n + 2 * k2**2 / (n - 1),
+        k6 / n + 9 * k2 * k4 / (n - 1) + 9 * k3**2 / (n - 1)
+        + 6 * n * k2**3 / ((n - 1) * (n - 2)),
+        k8 / n + 16 * k2 * k6 / (n - 1) + 48 * k3 * k5 / (n - 1) + 34 * k4**2 / (n - 1)
+        + 72 * n * k2**2 * k4 / ((n - 1) * (n - 2))
+        + 144 * n * k2 * k3**2 / ((n - 1) * (n - 2))
+        + 24 * n * (n + 1) * k2**4 / ((n - 1) * (n - 2) * (n - 3)),
+    ]
+
+
+@pytest.mark.parametrize("law", ["normal", "centred-chi2"])
+def test_low_order_standard_errors_match_fisher(law):
+    z = np.random.Generator(np.random.Philox(key=[11, 0])).standard_normal(131_072)
+    x = z if law == "normal" else (z * z - 1.0) / 2.0
+    for e, var in zip(empirical_cumulants(x, 4), _fisher_variances(x)):
+        assert e.std_error == pytest.approx(math.sqrt(var), rel=1e-4)
+
+
+def test_high_order_standard_errors_match_a_bootstrap():
+    rng = np.random.Generator(np.random.Philox(key=[12, 0]))
+    x = rng.standard_normal(131_072)
+    est = empirical_cumulants(x, 6)
+    reps = []
+    for _ in range(400):
+        mu = _central_moments(x[rng.integers(0, x.size, x.size)], 6)
+        reps.append(_cumulants_and_gradients(mu, 6)[0][5:])
+    boot = np.std(reps, axis=0, ddof=1)
+    for e, se in zip(est[4:], boot):
+        assert 0.8 <= e.std_error / se <= 1.25
+
+
+def test_high_order_coverage_on_normals():
+    hits = 0
+    for seed in range(200):
+        x = np.random.Generator(np.random.Philox(key=[seed, 1])).standard_normal(4000)
+        hits += sum(abs(e.value) <= 3 * e.std_error for e in empirical_cumulants(x, 6)[4:])
+    assert hits / 400 >= 0.98
 
 
 def test_constant_samples_give_exact_zero_cumulants():
