@@ -22,7 +22,11 @@ with g solving the convolution Riccati integral equation
 discretized here by product integration: g is piecewise linear on a uniform
 tau-grid and the kernel moments over each subinterval are integrated in
 closed form, which keeps first-order accuracy through the power-law
-singularity at tau = 0.
+singularity at tau = 0.  The resulting weights W form one Toeplitz
+convolution per (kernel, grid): a whole known vector is convolved by FFT
+against the spectrum of W (Hairer-Lubich-Schlichte 1985), while the Riccati
+march, whose next value depends on the last, takes one direct dot over W
+per step.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ ZETA_LEAF_LABELS = frozenset({"zeta"})
 
 GROWTH_BOUND = 1.0e3
 MIN_STEPS = 8  # fewest grid steps ``solve_riccati`` takes
+MAX_STEPS = 65536  # most: the O(n^2) march and its half-resolution check take seconds
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +137,7 @@ class KernelSpec:
 
 def kappa_bar(kernel: KernelSpec, tau, delta: float):
     """Exact integral of the kernel over [tau, tau + delta] (vectorized)."""
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0):
@@ -181,6 +186,22 @@ class ForwardVarianceCurve:
 # ---------------------------------------------------------------------------
 
 
+def _fft_length(m: int) -> int:
+    """Smallest 5-smooth number 2^i 3^j 5^k that is at least m."""
+    best = 1 << max(m - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < m:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _conv_weights(kernel: KernelSpec, grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Toeplitz weights W and endpoint correction E of the product integration:
     (kappa * v)(grid[j]) = sum_{m<=j} W[m] v[j-m] - E[j] v[0] for piecewise-linear
@@ -196,12 +217,28 @@ def _conv_weights(kernel: KernelSpec, grid: np.ndarray) -> Tuple[np.ndarray, np.
     return W, E
 
 
+class _Convolution:
+    """The ``_conv_weights`` sum applied to a whole vector on one grid: one FFT
+    product against ``spectrum`` = rfft(W) at a 5-smooth length of at least
+    2n - 1, so no wrap-around reaches the first n entries."""
+
+    def __init__(self, kernel: KernelSpec, grid: np.ndarray):
+        self.W, self.E = _conv_weights(kernel, grid)
+        self.length = _fft_length(2 * grid.size - 1)
+        self.spectrum = np.fft.rfft(self.W, self.length)
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        n = self.W.size
+        out = np.fft.irfft(self.spectrum * np.fft.rfft(values, self.length), self.length)[:n]
+        out -= self.E * values[0]
+        out[0] = 0.0  # the convolution vanishes at tau = 0
+        return out
+
+
 def kernel_convolve(kernel: KernelSpec, values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """(kappa * v)(tau_j) on the grid for piecewise-linear v, exact kernel moments:
-    one discrete convolution with the weights of ``_conv_weights``."""
-    values = np.asarray(values, dtype=float)
-    W, E = _conv_weights(kernel, grid)
-    return np.convolve(W, values)[: grid.size] - E * values[0]
+    one FFT convolution with the weights of ``_Convolution``."""
+    return _Convolution(kernel, grid)(np.asarray(values, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -230,33 +267,39 @@ class HFunction:
         return np.interp(np.asarray(tau, dtype=float), self.grid, self.values)
 
 
-def _leaf_loading(
-    label: str, kernel: KernelSpec, delta: float, grid: np.ndarray
-) -> Tuple[float, np.ndarray]:
-    if label in PRICE_LEAF_LABELS:
-        return 1.0, np.zeros_like(grid)
-    if label in ZETA_LEAF_LABELS:
-        return 0.0, kappa_bar(kernel, grid, delta)
-    raise ValueError(f"unsupported leaf label {label!r}")
+def _tree_grid(
+    kernel: KernelSpec, delta: float, horizon: float, n_steps: int
+) -> Tuple[np.ndarray, _Convolution, np.ndarray]:
+    """What every tree on one tau-grid shares: the grid, its convolution and the
+    zeta-leaf loading kappa_bar."""
+    if not horizon > 0:
+        raise ValueError("horizon must be positive")
+    if n_steps < 2:
+        raise ValueError("n_steps must be >= 2")
+    grid = np.linspace(0.0, horizon, n_steps + 1)
+    return grid, _Convolution(kernel, grid), kappa_bar(kernel, grid, delta)
 
 
 def _node_loading(
-    tree: Tree, kernel: KernelSpec, rho: float, delta: float, grid: np.ndarray
+    tree: Tree, rho: float, kbar: np.ndarray, convolve: _Convolution
 ) -> Tuple[float, np.ndarray]:
     """(z, w): dZ- and dW-loadings (per sqrt(v)) of the node's martingale part."""
+    if tree.label in PRICE_LEAF_LABELS:
+        return 1.0, np.zeros_like(kbar)
+    if tree.label in ZETA_LEAF_LABELS:
+        return 0.0, kbar
     if tree.label is not None:
-        return _leaf_loading(tree.label, kernel, delta, grid)
-    h = _tree_h_values(tree, kernel, rho, delta, grid)
-    return 0.0, kernel_convolve(kernel, h, grid)
+        raise ValueError(f"unsupported leaf label {tree.label!r}")
+    return 0.0, convolve(_tree_h_values(tree, rho, kbar, convolve))
 
 
 def _tree_h_values(
-    tree: Tree, kernel: KernelSpec, rho: float, delta: float, grid: np.ndarray
+    tree: Tree, rho: float, kbar: np.ndarray, convolve: _Convolution
 ) -> np.ndarray:
     if tree.label is not None:
         raise ValueError("a single leaf is not a diamond tree (needs >= 2 leaves)")
-    z1, w1 = _node_loading(tree.left, kernel, rho, delta, grid)
-    z2, w2 = _node_loading(tree.right, kernel, rho, delta, grid)
+    z1, w1 = _node_loading(tree.left, rho, kbar, convolve)
+    z2, w2 = _node_loading(tree.right, rho, kbar, convolve)
     return z1 * z2 + rho * (z1 * w2 + z2 * w1) + w1 * w2
 
 
@@ -273,12 +316,8 @@ def tree_h(
     Base pairs: (X <> X) -> 1, (X <> zeta) -> rho kappa_bar, (zeta <> zeta)
     -> kappa_bar^2; an internal subtree enters through kappa * h_subtree.
     """
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
-    if n_steps < 2:
-        raise ValueError("n_steps must be >= 2")
-    grid = np.linspace(0.0, horizon, n_steps + 1)
-    return HFunction(grid=grid, values=_tree_h_values(tree, kernel, rho, delta, grid))
+    grid, convolve, kbar = _tree_grid(kernel, delta, horizon, n_steps)
+    return HFunction(grid=grid, values=_tree_h_values(tree, rho, kbar, convolve))
 
 
 def tree_value(
@@ -428,10 +467,13 @@ def solve_riccati(
     """
     if not -1.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [-1, 1]")
+    for name, value in (("a", a), ("b", b), ("c", c), ("delta", delta), ("horizon T", horizon)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not horizon > 0:
         raise ValueError("horizon must be positive")
-    if n_steps < MIN_STEPS:
-        raise ValueError(f"n_steps must be >= {MIN_STEPS}")
+    if not MIN_STEPS <= n_steps <= MAX_STEPS:
+        raise ValueError(f"n_steps must lie in [{MIN_STEPS}, {MAX_STEPS}], got {n_steps}")
     grid = np.linspace(0.0, horizon, n_steps + 1)
     g = _riccati_march(kernel, rho, a, b, c, delta, grid)
     half = _riccati_march(kernel, rho, a, b, c, delta, grid[::2])
@@ -568,10 +610,15 @@ def spx_expansion_value(
 
     ``orders_forests`` maps order k to the two-leaf-type forest whose
     coefficients are polynomials in the symbols a, b, c; each tree value is
-    the convolution-form quadrature.
+    the convolution-form quadrature.  Every tree is walked on one grid with
+    one convolution and one zeta-leaf loading, built once per call.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
+    if not T > t:
+        raise ValueError("need t < T")
+    grid, convolve, kbar = _tree_grid(kernel, delta, T - t, n_steps)
+    xi = curve(T - grid)
     bindings = {"a": a, "b": b, "c": c}
     total = a * x + c * zeta
     for k in sorted(orders_forests):
@@ -581,5 +628,6 @@ def spx_expansion_value(
             coeff = poly.evaluate(bindings)
             if coeff == 0.0:
                 continue
-            total += float(coeff) * tree_value(tree, kernel, rho, delta, curve, t, T, n_steps)
+            h = HFunction(grid=grid, values=_tree_h_values(tree, rho, kbar, convolve))
+            total += float(coeff) * float(np.trapezoid(xi * h.values, grid))
     return total

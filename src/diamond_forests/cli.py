@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .affine import (
+    MAX_STEPS,
     MIN_STEPS,
     ForwardVarianceCurve,
     KernelSpec,
@@ -311,7 +312,8 @@ def cmd_chaos2(args) -> dict:
     else:
         if args.grid is None:
             raise UsageError("--flat needs --grid M")
-        state = constant_kernel(args.T, args.grid, args.flat)
+        grid = _flag("grid", args.grid, 1, "the flat kernel")
+        state = constant_kernel(args.T, grid, args.flat)
     recursion = chaos2_cumulants(state, args.order)
     spectral = eigenvalue_cumulants(state, args.order)
     return {
@@ -359,7 +361,7 @@ def cmd_riccati(args) -> dict:
         if args.alpha is None:
             raise UsageError("power-law kernel needs --alpha")
         kern = KernelSpec.power_law(nu=args.nu, alpha=args.alpha)
-    steps = _flag("steps", args.steps, MIN_STEPS, "the Riccati solve")
+    steps = _flag("steps", args.steps, MIN_STEPS, "the Riccati solve", MAX_STEPS)
     sol = solve_riccati(
         kern, args.rho, args.a, args.b, args.c, args.delta, horizon=args.T, n_steps=steps
     )
@@ -434,7 +436,7 @@ def cmd_verify(args) -> Tuple[dict, int]:
             )
     if args.steps is not None:
         if args.suite == "heston-riccati":
-            _flag("steps", args.steps, MIN_STEPS, "the Riccati solve")
+            _flag("steps", args.steps, MIN_STEPS, "the Riccati solve", MAX_STEPS)
         else:
             _flag("steps", args.steps, 1, "the simulation")
     if args.paths is not None:

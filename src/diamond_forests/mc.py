@@ -35,6 +35,10 @@ __all__ = [
 ]
 
 BLOCK_PATHS = 1 << 16
+# Chaos2 draws its increments in chunks of about this many floats (512 KiB).
+# Chunks of 16 MiB left tens of MiB in a worker thread's malloc arena, so the
+# peak RSS of a run depended on how the workers' frees interleaved.
+CHAOS2_CHUNK = 1 << 16
 MIN_PATHS = 100
 MAX_CUMULANT_ORDER = 6
 THREADS_ENV = "DIAMOND_FORESTS_THREADS"
@@ -240,7 +244,7 @@ def _sim_chaos2(cfg: SimConfig, rng: np.random.Generator, m: int) -> Dict[str, n
     h = cfg.horizon / M
     sh = math.sqrt(h)
     out = np.empty(m)
-    chunk = max(1, min(m, (1 << 21) // max(M, 1)))
+    chunk = max(1, min(m, CHAOS2_CHUNK // max(M, 1)))
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
         db = sh * rng.standard_normal((hi - lo, M))

@@ -57,6 +57,8 @@ class Chaos2State:
         k = np.asarray(self.kernel, dtype=float)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise ValueError("kernel must be a square matrix")
+        if k.shape[0] < 1:
+            raise ValueError("kernel needs at least one grid point (M >= 1)")
         if not np.allclose(k, np.triu(k, 1)):
             raise ValueError("kernel must be strictly upper triangular (w < v)")
         object.__setattr__(self, "kernel", np.triu(k, 1))
@@ -90,6 +92,8 @@ class Chaos2State:
 
 def constant_kernel(T: float, M: int, value: float = 1.0) -> Chaos2State:
     """State with f == value on the simplex (zero deterministic part)."""
+    if M < 1:
+        raise ValueError(f"grid size M must be >= 1, got {M}")
     k = np.triu(np.full((M, M), float(value)), 1)
     return Chaos2State(kernel=k, scalar=0.0, T=T)
 

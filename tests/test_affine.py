@@ -8,6 +8,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 from diamond_forests.affine import (
+    MAX_STEPS,
     ForwardVarianceCurve,
     HFunction,
     KernelSpec,
@@ -211,15 +212,33 @@ def test_kernel_convolve_matches_the_per_subinterval_sum(kern, n):
 
 
 @pytest.mark.parametrize("kern", [EXP, POW], ids=["exp", "power"])
+@pytest.mark.parametrize("n", [4097, 32769])
+def test_kernel_convolve_matches_the_direct_sum_at_benchmark_sizes(kern, n):
+    # the FFT product against the kernel spectrum equals the direct Toeplitz
+    # sum of the same weights W[m] = A[m-1] + B[m], less E = (B, 0) on v[0]
+    grid = np.linspace(0.0, 1.0, n)
+    v = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    m0, m1 = kern.moments(grid)
+    B = (grid[1:] * m0 - m1) / (grid[1] - grid[0])
+    E = np.append(B, 0.0)
+    W = E + np.append(0.0, m0 - B)
+    want = np.convolve(W, v)[:n] - E * v[0]
+    got = kernel_convolve(kern, v, grid)
+    assert got[0] == 0.0
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("kern", [EXP, POW], ids=["exp", "power"])
 def test_riccati_march_solves_the_discrete_equation_of_kernel_convolve(kern):
     # the march and kernel_convolve share one weight vector, so the solved g
     # satisfies g = C + (q + kappa * g)^2 / 2 on the grid to rounding
     a, b, c, rho, delta = 0.25, 0.1, 0.1, -0.7, 0.1
-    sol = solve_riccati(kern, rho, a, b, c, delta, horizon=1.0, n_steps=512)
-    C = b - 0.5 * a + 0.5 * (1.0 - rho * rho) * a * a
-    q = rho * a + c * kappa_bar(kern, sol.grid, delta)
-    defect = C + 0.5 * (q + kernel_convolve(kern, sol.g, sol.grid)) ** 2 - sol.g
-    assert np.max(np.abs(defect)) <= 1e-15
+    for n in (512, 4096):
+        sol = solve_riccati(kern, rho, a, b, c, delta, horizon=1.0, n_steps=n)
+        C = b - 0.5 * a + 0.5 * (1.0 - rho * rho) * a * a
+        q = rho * a + c * kappa_bar(kern, sol.grid, delta)
+        defect = C + 0.5 * (q + kernel_convolve(kern, sol.g, sol.grid)) ** 2 - sol.g
+        assert np.max(np.abs(defect)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +381,21 @@ def test_riccati_step_without_real_root_raises_domain_error():
         solve_riccati(EXP, 0.0, 40, 40, 0, 0.1, horizon=2.0, n_steps=8)
 
 
+@pytest.mark.parametrize("name", ["a", "b", "c", "delta", "horizon"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_riccati_rejects_non_finite_inputs(name, value):
+    args = dict(rho=-0.7, a=0.25, b=0.1, c=0.1, delta=0.1, horizon=1.0, n_steps=64)
+    args[name] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        solve_riccati(EXP, **args)
+
+
+def test_riccati_step_cap():
+    assert MAX_STEPS == 65536
+    with pytest.raises(ValueError, match="65536"):
+        solve_riccati(EXP, -0.7, 0.25, 0.1, 0.0, 0.1, horizon=1.0, n_steps=MAX_STEPS + 1)
+
+
 def test_riccati_rejects_tiny_grids_and_bad_rho():
     with pytest.raises(ValueError):
         solve_riccati(EXP, 0.0, 0.1, 0.0, 0.0, 0.1, horizon=1.0, n_steps=4)
@@ -450,6 +484,25 @@ def test_expansion_converges_to_solver_value():
     assert gaps[1] < 1e-2 * gaps[0]
     assert gaps[2] < 1e-2 * gaps[1]
     assert gaps[3] <= 2e-13
+
+
+@pytest.mark.parametrize("kern", [EXP, POW], ids=["exp", "power"])
+def test_expansion_value_is_the_sum_of_its_tree_values(kern):
+    # one grid, convolution and zeta loading shared by every tree give the same
+    # value as the single-tree oracle summed over the forest
+    a, b, c, rho, delta = 0.2, 0.1, 0.1, -0.6, 0.1
+    crv = ForwardVarianceCurve.sampled([0.0, 0.5, 1.0], [0.04, 0.05, 0.03])
+    orders = spx_g_expansion(5).orders
+    got = spx_expansion_value(5, orders, kern, rho, a, b, c, delta, crv,
+                              x=0.3, zeta=0.2, t=0.0, T=1.0, n_steps=1024)
+    want = a * 0.3 + c * 0.2
+    for forest in orders.values():
+        for tree, poly in forest:
+            coeff = float(poly.evaluate({"a": a, "b": b, "c": c}))
+            if coeff != 0.0:
+                want += coeff * tree_value(tree, kern, rho, delta, crv, 0.0, 1.0,
+                                           n_steps=1024)
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_univariate_expansion_value_matches_binding():

@@ -57,6 +57,14 @@ def test_state_validation():
         chaos2_diamond(a, c)
 
 
+@pytest.mark.parametrize("M", [0, -3])
+def test_grid_below_one_point_is_refused(M):
+    with pytest.raises(ValueError, match="M"):
+        constant_kernel(1.0, M)
+    with pytest.raises(ValueError, match="M >= 1"):
+        Chaos2State(kernel=np.zeros((0, 0)), scalar=0.0, T=1.0)
+
+
 def test_zero_kernel_gives_zero_state():
     z = Chaos2State(kernel=np.zeros((16, 16)), scalar=0.0, T=1.0)
     d = chaos2_diamond(z, z)

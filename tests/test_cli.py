@@ -357,6 +357,45 @@ def test_too_few_riccati_steps_name_the_flag(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["riccati", "--kernel", "exp", "--nu", "0.3", "--lambda", "1", "--rho", "-0.7",
+         "--a", "0.25", "--b", "0.1", "--T", "1", "--steps", "65537"],
+        ["verify", "heston-riccati", "--steps", "65537"],
+    ],
+    ids=["riccati", "verify"],
+)
+def test_too_many_riccati_steps_name_the_flag(argv, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--steps" in err and "65536" in err and "n_steps" not in err
+
+
+def test_riccati_step_cap_is_accepted_at_the_flag_check():
+    cap = cli.MAX_STEPS
+    assert cli._flag("steps", cap, cli.MIN_STEPS, "the Riccati solve", cap) == cap
+
+
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [("--a", "nan", "a"), ("--T", "inf", "horizon T"), ("--delta", "nan", "delta")],
+)
+def test_non_finite_riccati_inputs_are_refused(flag, value, name, capsys):
+    argv = {"--kernel": "exp", "--nu": "0.3", "--lambda": "1", "--rho": "-0.7",
+            "--a": "0.25", "--b": "0.1", "--T": "1", "--steps": "32"}
+    argv[flag] = value
+    assert cli.main(["riccati", *(t for item in argv.items() for t in item)]) == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_chaos2_grid_below_one_names_the_flag(grid, capsys):
+    assert cli.main(["chaos2", "--flat", "1", "--grid", grid, "--order", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "--grid" in err and "negative dimensions" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["mc", "--model", "BMdrift", "--paths", "200", "--steps", "0"],
         ["verify", "levy", "--paths", "2000", "--steps", "0"],
         ["verify", "mc-cross", "--steps", "0"],

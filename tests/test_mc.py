@@ -13,6 +13,7 @@ from diamond_forests.affine import (
     mgf_value,
     solve_riccati,
 )
+from diamond_forests import mc
 from diamond_forests.errors import DomainError
 from diamond_forests.mc import (
     BLOCK_PATHS,
@@ -161,6 +162,17 @@ def test_chaos2_simulator_matches_recursion():
     est = empirical_cumulants(simulate(cfg), 4)
     for e in est:
         assert abs(e.value - kappas[e.order - 1]) <= 3.5 * max(e.std_error, 1e-12)
+
+
+def test_chaos2_samples_do_not_depend_on_the_chunk_size(monkeypatch):
+    F = kernel_from_function(lambda s, u: 1.0 + 0.5 * s * u, 1.0, 16)
+    cfg = SimConfig("Chaos2", {"kernel": F.kernel}, 5000, 16, 1.0, seed=3)
+    x = simulate(cfg).columns["X"]
+    for chunk in (1, 16 * 7, 1 << 21):
+        monkeypatch.setattr(mc, "CHAOS2_CHUNK", chunk)
+        # same normals in the same order; a one-row chunk may round differently
+        gap = np.max(np.abs(simulate(cfg).columns["X"] - x))
+        assert gap <= 1e-15 * np.max(np.abs(x))
 
 
 def test_chaos2_kernel_validation():
