@@ -24,15 +24,17 @@ tau-grid and the kernel moments over each subinterval are integrated in
 closed form, which keeps first-order accuracy through the power-law
 singularity at tau = 0.  The resulting weights W form one Toeplitz
 convolution per (kernel, grid): a whole known vector is convolved by FFT
-against the spectrum of W (Hairer-Lubich-Schlichte 1985), while the Riccati
-march, whose next value depends on the last, takes one direct dot over W
-per step.
+against the spectrum of W.  The Riccati march, whose next value depends on
+the last, builds the same sums block by block (Hairer-Lubich-Schlichte
+1985): once the left half of a block is solved, one convolution adds its
+share of the history to the right half, so n steps cost O(n log^2 n).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Tuple
 
@@ -62,7 +64,9 @@ ZETA_LEAF_LABELS = frozenset({"zeta"})
 
 GROWTH_BOUND = 1.0e3
 MIN_STEPS = 8  # fewest grid steps ``solve_riccati`` takes
-MAX_STEPS = 65536  # most: the O(n^2) march and its half-resolution check take seconds
+MAX_STEPS = 65536  # most; at the cap the march and its half-resolution check take about 0.2 s
+_LEAF_STEPS = 16  # march blocks this short are solved by a scalar loop
+_FFT_STEPS = 128  # finished halves this long reach the next half by FFT
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +87,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("exp", "power"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
+        for name, value in (("nu", self.nu), ("lam", self.lam)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.nu > 0:
             raise ValueError("nu must be positive")
         if self.kind == "exp" and not self.lam > 0:
@@ -157,6 +164,9 @@ class ForwardVarianceCurve:
         values = np.asarray(self.values, dtype=float)
         if times.shape != values.shape or times.ndim != 1 or times.size < 1:
             raise ValueError("times and values must be matching 1-d arrays")
+        for name, array in (("times", times), ("values", values)):
+            if not np.all(np.isfinite(array)):
+                raise ValueError(f"{name} must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
         if np.any(values < 0):
@@ -166,8 +176,8 @@ class ForwardVarianceCurve:
 
     @staticmethod
     def flat(xi0: float) -> "ForwardVarianceCurve":
-        if not xi0 >= 0:
-            raise ValueError("forward variance must be nonnegative")
+        if not (math.isfinite(xi0) and xi0 >= 0):
+            raise ValueError(f"xi0 must be finite and nonnegative, got {xi0}")
         return ForwardVarianceCurve(np.array([0.0]), np.array([float(xi0)]))
 
     @staticmethod
@@ -281,25 +291,37 @@ def _tree_grid(
 
 
 def _node_loading(
-    tree: Tree, rho: float, kbar: np.ndarray, convolve: _Convolution
+    tree: Tree,
+    rho: float,
+    kbar: np.ndarray,
+    convolve: _Convolution,
+    loadings: Dict[Tree, np.ndarray],
 ) -> Tuple[float, np.ndarray]:
-    """(z, w): dZ- and dW-loadings (per sqrt(v)) of the node's martingale part."""
+    """(z, w): dZ- and dW-loadings (per sqrt(v)) of the node's martingale part;
+    an internal node's w = kappa * h is convolved once per ``loadings`` dict."""
     if tree.label in PRICE_LEAF_LABELS:
         return 1.0, np.zeros_like(kbar)
     if tree.label in ZETA_LEAF_LABELS:
         return 0.0, kbar
     if tree.label is not None:
         raise ValueError(f"unsupported leaf label {tree.label!r}")
-    return 0.0, convolve(_tree_h_values(tree, rho, kbar, convolve))
+    w = loadings.get(tree)
+    if w is None:
+        w = loadings[tree] = convolve(_tree_h_values(tree, rho, kbar, convolve, loadings))
+    return 0.0, w
 
 
 def _tree_h_values(
-    tree: Tree, rho: float, kbar: np.ndarray, convolve: _Convolution
+    tree: Tree,
+    rho: float,
+    kbar: np.ndarray,
+    convolve: _Convolution,
+    loadings: Dict[Tree, np.ndarray],
 ) -> np.ndarray:
     if tree.label is not None:
         raise ValueError("a single leaf is not a diamond tree (needs >= 2 leaves)")
-    z1, w1 = _node_loading(tree.left, rho, kbar, convolve)
-    z2, w2 = _node_loading(tree.right, rho, kbar, convolve)
+    z1, w1 = _node_loading(tree.left, rho, kbar, convolve, loadings)
+    z2, w2 = _node_loading(tree.right, rho, kbar, convolve, loadings)
     return z1 * z2 + rho * (z1 * w2 + z2 * w1) + w1 * w2
 
 
@@ -317,7 +339,7 @@ def tree_h(
     -> kappa_bar^2; an internal subtree enters through kappa * h_subtree.
     """
     grid, convolve, kbar = _tree_grid(kernel, delta, horizon, n_steps)
-    return HFunction(grid=grid, values=_tree_h_values(tree, rho, kbar, convolve))
+    return HFunction(grid=grid, values=_tree_h_values(tree, rho, kbar, convolve, {}))
 
 
 def tree_value(
@@ -408,6 +430,82 @@ def _pchip(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return evaluate
 
 
+class _RiccatiMarch:
+    """The product-integration march of the convolution Riccati equation,
+    solved in increasing j with its history sums built by divide and conquer.
+
+    ``known[j]`` gathers q[j] + W[0] C - E[j] g[0] and the terms W[j-i] g[i]
+    of every finished block, g[0] first (Hairer-Lubich-Schlichte 1985).  A
+    block is solved half by half: once the left half is done, one convolution
+    of it against W adds its terms to the right half's entries, by
+    ``np.correlate`` for short halves and by FFT against a spectrum of W
+    cached per (h, L) for long ones.  Blocks of at most ``_LEAF_STEPS`` are a
+    scalar loop.  Steps are still solved in increasing j, so a refusal names
+    the first failing tau.
+    """
+
+    def __init__(self, kernel, rho, a, b, c, delta, grid):
+        self.C = C = b - 0.5 * a + 0.5 * (1.0 - rho * rho) * a * a
+        q = rho * a + c * kappa_bar(kernel, grid, delta)
+        self.W, E = _conv_weights(kernel, grid)
+        self.w0 = float(self.W[0])
+        self.w1 = self.W[1:_LEAF_STEPS].tolist()
+        self.grid = grid
+        self.g = np.empty(grid.size)
+        self.g[0] = C + 0.5 * q[0] ** 2  # boundary: convolution vanishes at tau = 0
+        self.known = q + self.W[0] * C + (self.W - E) * self.g[0]
+        self.spectra: Dict[Tuple[int, int], Tuple[int, np.ndarray]] = {}
+
+    def solve(self, lo: int, hi: int) -> None:
+        if hi - lo <= _LEAF_STEPS:
+            self._leaf(lo, hi)
+            return
+        mid = (lo + hi) // 2
+        self.solve(lo, mid)
+        self._spill(lo, mid, hi)
+        self.solve(mid, hi)
+
+    def _spill(self, lo: int, mid: int, hi: int) -> None:
+        """Add the terms W[j-i] g[i], lo <= i < mid, to known[j] for mid <= j < hi."""
+        h, L = mid - lo, hi - mid
+        block = self.g[lo:mid]
+        weights = self.W[1 : h + L]
+        if h < _FFT_STEPS:
+            self.known[mid:hi] += np.correlate(weights, block[::-1], "valid")
+            return
+        # entries h-1 .. h+L-2 of the linear convolution need no padding past h+L-1
+        if (h, L) not in self.spectra:
+            size = _fft_length(h + L - 1)
+            self.spectra[h, L] = size, np.fft.rfft(weights, size)
+        size, spectrum = self.spectra[h, L]
+        product = np.fft.irfft(spectrum * np.fft.rfft(block, size), size)
+        self.known[mid:hi] += product[h - 1 : h - 1 + L]
+
+    def _leaf(self, lo: int, hi: int) -> None:
+        C, w0, w1 = self.C, self.w0, self.w1
+        done = []  # this block's solved values, latest first
+        for j, known in zip(range(lo, hi), self.known[lo:hi].tolist()):
+            # k = q[j] + P + W0 C, P the known part of (kappa * g)(tau_j); then
+            # x = C + u^2/2 with u = q[j] + P + W0 x solves (W0/2) u^2 - u + k = 0
+            k = known + sum(map(operator.mul, w1, done))
+            D = 1.0 - 2.0 * w0 * k
+            if D < 0.0:
+                raise DomainError(
+                    f"per-step equation has no real root at tau = {self.grid[j]:.6g}: "
+                    f"the solution blew up; weights (a, b, c) outside the domain"
+                )
+            # the root continuous in W0 -> 0 (u -> k), free of cancellation
+            u = 2.0 * k / (1.0 + math.sqrt(D))
+            x = C + 0.5 * u * u
+            if abs(x) > GROWTH_BOUND:
+                raise DomainError(
+                    f"solution magnitude exceeded {GROWTH_BOUND:g} at tau = "
+                    f"{self.grid[j]:.6g}; weights (a, b, c) outside the small-argument domain"
+                )
+            done.insert(0, x)
+        self.g[lo:hi] = done[::-1]
+
+
 def _riccati_march(
     kernel: KernelSpec,
     rho: float,
@@ -417,32 +515,9 @@ def _riccati_march(
     delta: float,
     grid: np.ndarray,
 ) -> np.ndarray:
-    C = b - 0.5 * a + 0.5 * (1.0 - rho * rho) * a * a
-    q = rho * a + c * kappa_bar(kernel, grid, delta)
-    W, E = _conv_weights(kernel, grid)
-    g = np.empty(grid.size)
-    g[0] = C + 0.5 * q[0] ** 2  # boundary: convolution vanishes at tau = 0
-    for j in range(1, grid.size):
-        # known part of (kappa * g)(tau_j); the weight W[0] carries g[j]
-        P = float(np.dot(W[1 : j + 1], g[j - 1 :: -1])) - E[j] * g[0]
-        # x = C + u^2/2 with u = q[j] + P + W0 x solves (W0/2) u^2 - u + k = 0
-        k = q[j] + P + W[0] * C
-        D = 1.0 - 2.0 * W[0] * k
-        if D < 0.0:
-            raise DomainError(
-                f"per-step equation has no real root at tau = {grid[j]:.6g}: "
-                f"the solution blew up; weights (a, b, c) outside the domain"
-            )
-        # the root continuous in W0 -> 0 (u -> k), free of cancellation
-        u = 2.0 * k / (1.0 + math.sqrt(D))
-        x = C + 0.5 * u * u
-        if abs(x) > GROWTH_BOUND:
-            raise DomainError(
-                f"solution magnitude exceeded {GROWTH_BOUND:g} at tau = "
-                f"{grid[j]:.6g}; weights (a, b, c) outside the small-argument domain"
-            )
-        g[j] = x
-    return g
+    march = _RiccatiMarch(kernel, rho, a, b, c, delta, grid)
+    march.solve(1, grid.size)
+    return march.g
 
 
 def solve_riccati(
@@ -573,6 +648,9 @@ def mgf_value(
     T: float,
 ) -> float:
     """a X_t + c zeta_t(T) + integral_t^T xi_t(u) g(T-u) du on the solved grid."""
+    for name, value in (("x", x), ("zeta", zeta), ("t", t), ("T", T)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     tau = T - t
     if tau <= 0:
         raise ValueError("need t < T")
@@ -611,7 +689,8 @@ def spx_expansion_value(
     ``orders_forests`` maps order k to the two-leaf-type forest whose
     coefficients are polynomials in the symbols a, b, c; each tree value is
     the convolution-form quadrature.  Every tree is walked on one grid with
-    one convolution and one zeta-leaf loading, built once per call.
+    one convolution and one zeta-leaf loading, built once per call, and each
+    distinct internal subtree is convolved once per call.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
@@ -620,6 +699,7 @@ def spx_expansion_value(
     grid, convolve, kbar = _tree_grid(kernel, delta, T - t, n_steps)
     xi = curve(T - grid)
     bindings = {"a": a, "b": b, "c": c}
+    loadings: Dict[Tree, np.ndarray] = {}
     total = a * x + c * zeta
     for k in sorted(orders_forests):
         if k > order:
@@ -628,6 +708,6 @@ def spx_expansion_value(
             coeff = poly.evaluate(bindings)
             if coeff == 0.0:
                 continue
-            h = HFunction(grid=grid, values=_tree_h_values(tree, rho, kbar, convolve))
+            h = HFunction(grid=grid, values=_tree_h_values(tree, rho, kbar, convolve, loadings))
             total += float(coeff) * float(np.trapezoid(xi * h.values, grid))
     return total

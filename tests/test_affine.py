@@ -1,5 +1,6 @@
 """Forward-variance kernels, convolution-form tree values, and the Riccati solver."""
 
+import gc
 import math
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import PchipInterpolator
 
+from diamond_forests import affine
 from diamond_forests.affine import (
+    GROWTH_BOUND,
     MAX_STEPS,
     ForwardVarianceCurve,
     HFunction,
@@ -49,6 +52,15 @@ def test_kernel_validation():
         KernelSpec.power_law(nu=1.0, alpha=1.0)
 
 
+@pytest.mark.parametrize("name", ["nu", "lam"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_kernel_rejects_non_finite_parameters(name, value):
+    args = dict(nu=0.3, lam=1.0)
+    args[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        KernelSpec.exponential(**args)
+
+
 @pytest.mark.parametrize("kern", [EXP, POW], ids=["exp", "power"])
 def test_kappa_bar_matches_quadrature(kern):
     for tau in (0.0, 0.3, 1.7):
@@ -88,6 +100,21 @@ def test_curve_validation_and_interpolation():
     assert crv(2.0) == pytest.approx(0.02)
     flat = ForwardVarianceCurve.flat(0.04)
     assert flat(123.0) == 0.04
+
+
+@pytest.mark.parametrize("name", ["times", "values"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_curve_rejects_non_finite_samples(name, value):
+    samples = {"times": [0.0, 1.0, 2.0], "values": [0.04, 0.06, 0.02]}
+    samples[name][-1] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ForwardVarianceCurve.sampled(samples["times"], samples["values"])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_flat_curve_rejects_non_finite_level(value):
+    with pytest.raises(ValueError, match="xi0 must be finite"):
+        ForwardVarianceCurve.flat(value)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +266,76 @@ def test_riccati_march_solves_the_discrete_equation_of_kernel_convolve(kern):
         q = rho * a + c * kappa_bar(kern, sol.grid, delta)
         defect = C + 0.5 * (q + kernel_convolve(kern, sol.g, sol.grid)) ** 2 - sol.g
         assert np.max(np.abs(defect)) <= 1e-15
+
+
+def direct_march(kern, rho, a, b, c, delta, grid):
+    """Reference march: per step, one direct dot over the whole history gives
+    the known part sum_{m>=1} W[m] g[j-m] - E[j] g[0] of (kappa * g)(tau_j)."""
+    C = b - 0.5 * a + 0.5 * (1.0 - rho * rho) * a * a
+    q = rho * a + c * kappa_bar(kern, grid, delta)
+    m0, m1 = kern.moments(grid)
+    B = (grid[1:] * m0 - m1) / (grid[1] - grid[0])
+    E = np.append(B, 0.0)
+    W = E + np.append(0.0, m0 - B)
+    g = np.empty(grid.size)
+    g[0] = C + 0.5 * q[0] ** 2
+    for j in range(1, grid.size):
+        P = float(np.dot(W[1 : j + 1], g[j - 1 :: -1])) - E[j] * g[0]
+        k = q[j] + P + W[0] * C
+        D = 1.0 - 2.0 * W[0] * k
+        if D < 0.0:
+            raise DomainError(
+                f"per-step equation has no real root at tau = {grid[j]:.6g}: "
+                f"the solution blew up; weights (a, b, c) outside the domain"
+            )
+        u = 2.0 * k / (1.0 + math.sqrt(D))
+        g[j] = C + 0.5 * u * u
+        if abs(g[j]) > GROWTH_BOUND:
+            raise DomainError(
+                f"solution magnitude exceeded {GROWTH_BOUND:g} at tau = "
+                f"{grid[j]:.6g}; weights (a, b, c) outside the small-argument domain"
+            )
+    return g
+
+
+@pytest.mark.parametrize("kern", [EXP, POW], ids=["exp", "power"])
+@pytest.mark.parametrize("n", [8, 9, 17, 1000, 4096])
+def test_blocked_march_matches_the_direct_march(kern, n):
+    # odd step counts split into unequal halves at every level; 4096 steps
+    # take the FFT branch of the history sums
+    a, b, c, rho, delta = 0.25, 0.1, 0.1, -0.7, 0.1
+    sol = solve_riccati(kern, rho, a, b, c, delta, horizon=1.0, n_steps=n)
+    want = direct_march(kern, rho, a, b, c, delta, sol.grid)
+    assert np.max(np.abs(sol.g - want)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "args, n_steps, reason",
+    [
+        ((EXP, 0.0, 40.0, 40.0, 0.0, 0.1), 256, "magnitude exceeded"),
+        ((EXP, 0.0, 40.0, 40.0, 0.0, 0.1), 8, "no real root"),
+        # past the Heston pole at tau = log 3, after FFT history sums
+        ((KernelSpec.exponential(1.0, 1.0), 1.0, 3.0, -1.5, 0.0, 0.1), 4096, "magnitude"),
+        ((KernelSpec.power_law(1.0, 0.6), 1.0, 3.0, -1.5, 0.5, 0.1), 4096, "magnitude"),
+    ],
+    ids=["growth", "no-real-root", "exp-late", "power-late"],
+)
+def test_blocked_march_refuses_where_the_direct_march_does(args, n_steps, reason):
+    with pytest.raises(DomainError, match=reason) as got:
+        solve_riccati(*args, horizon=2.0, n_steps=n_steps)
+    with pytest.raises(DomainError) as want:
+        direct_march(*args, np.linspace(0.0, 2.0, n_steps + 1))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("kern", [EXP, POW], ids=["exp", "power"])
+def test_riccati_march_solves_the_discrete_equation_at_the_step_cap(kern):
+    a, b, c, rho, delta = 0.25, 0.1, 0.1, -0.7, 0.1
+    sol = solve_riccati(kern, rho, a, b, c, delta, horizon=1.0, n_steps=MAX_STEPS)
+    C = b - 0.5 * a + 0.5 * (1.0 - rho * rho) * a * a
+    q = rho * a + c * kappa_bar(kern, sol.grid, delta)
+    defect = C + 0.5 * (q + kernel_convolve(kern, sol.g, sol.grid)) ** 2 - sol.g
+    assert np.max(np.abs(defect)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +518,17 @@ def test_mgf_value_trivial_and_horizon_guard():
         mgf_value(sol, x=0.0, curve=crv, zeta=0.0, t=0.0, T=2.0)
 
 
+@pytest.mark.parametrize("name", ["x", "zeta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_mgf_value_rejects_non_finite_state(name, value):
+    kern, crv, a, b, c, rho, delta = heston_params()
+    sol = solve_riccati(kern, rho, a, b, c, delta, horizon=1.0, n_steps=64)
+    state = dict(x=0.1, zeta=0.2)
+    state[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        mgf_value(sol, curve=crv, t=0.0, T=1.0, **state)
+
+
 def test_mgf_value_flat_curve_exponential():
     kern, crv, a, b, c, rho, delta = heston_params()
     sol = solve_riccati(kern, rho, a, b, c, delta, horizon=1.0, n_steps=4096)
@@ -524,3 +632,79 @@ def test_univariate_expansion_value_matches_binding():
     vj = spx_expansion_value(6, joint, kern, 0.0, a, 0.5 * a, 0.0, 0.1, crv,
                              x=0.0, zeta=0.0, t=0.0, T=1.0, n_steps=1024)
     assert vj == pytest.approx(vu, rel=1e-9)
+
+
+def test_affine_requests_leave_no_reference_cycles():
+    # every object of a solve, a residual, a forest walk and a refused solve
+    # is freed by reference counting alone, so none waits for the cyclic GC
+    orders = spx_g_expansion(5).orders
+
+    def request():
+        sol = solve_riccati(POW, -0.7, 0.25, 0.1, 0.1, 0.1, horizon=1.0, n_steps=4096)
+        riccati_residual(sol)
+        spx_expansion_value(5, orders, POW, -0.7, 0.25, 0.1, 0.1, 0.1,
+                            ForwardVarianceCurve.flat(0.04), x=0.0, zeta=0.0, t=0.0,
+                            T=1.0, n_steps=1024)
+
+    def refused():
+        try:
+            solve_riccati(KernelSpec.exponential(1.0, 1.0), 1.0, 3.0, -1.5, 0.0, 0.1,
+                          horizon=2.0, n_steps=4096)
+        except DomainError:
+            return
+        raise AssertionError("the solve past the pole was not refused")
+
+    request()  # first-call imports are not per-request garbage
+    refused()
+    gc.collect()
+    gc.disable()
+    try:
+        request()
+        assert gc.collect() == 0
+        refused()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("kern", [EXP, POW], ids=["exp", "power"])
+def test_expansion_convolves_each_distinct_subtree_once(kern, monkeypatch):
+    a, b, c, rho, delta = 0.2, 0.1, 0.1, -0.6, 0.1
+    crv = ForwardVarianceCurve.sampled([0.0, 0.5, 1.0], [0.04, 0.05, 0.03])
+    orders = spx_g_expansion(6).orders
+    bindings = {"a": a, "b": b, "c": c}
+    subtrees = set()
+
+    def collect(tree):
+        for child in (tree.left, tree.right):
+            if not child.is_leaf():
+                subtrees.add(child)
+                collect(child)
+
+    for forest in orders.values():
+        for tree, poly in forest:
+            if poly.evaluate(bindings) != 0.0:
+                collect(tree)
+    assert len(subtrees) == 81
+
+    calls = []
+    convolve = affine._Convolution.__call__
+
+    def counting(self, values):
+        calls.append(values.size)
+        return convolve(self, values)
+
+    monkeypatch.setattr(affine._Convolution, "__call__", counting)
+    got = spx_expansion_value(6, orders, kern, rho, a, b, c, delta, crv,
+                              x=0.3, zeta=0.2, t=0.0, T=1.0, n_steps=512)
+    assert len(calls) == len(subtrees)
+    monkeypatch.undo()
+
+    want = a * 0.3 + c * 0.2
+    for k in sorted(orders):
+        for tree, poly in orders[k]:
+            coeff = poly.evaluate(bindings)
+            if coeff != 0.0:
+                want += float(coeff) * tree_value(tree, kern, rho, delta, crv, 0.0, 1.0,
+                                                  n_steps=512)
+    assert got == want

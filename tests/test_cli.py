@@ -376,7 +376,9 @@ def test_riccati_step_cap_is_accepted_at_the_flag_check():
 
 @pytest.mark.parametrize(
     "flag, value, name",
-    [("--a", "nan", "a"), ("--T", "inf", "horizon T"), ("--delta", "nan", "delta")],
+    [("--a", "nan", "a"), ("--T", "inf", "horizon T"), ("--delta", "nan", "delta"),
+     ("--nu", "inf", "nu"), ("--lambda", "inf", "lam"), ("--x", "nan", "x"),
+     ("--zeta", "inf", "zeta"), ("--xi0", "inf", "xi0")],
 )
 def test_non_finite_riccati_inputs_are_refused(flag, value, name, capsys):
     argv = {"--kernel": "exp", "--nu": "0.3", "--lambda": "1", "--rho": "-0.7",
