@@ -13,6 +13,13 @@ convolution), and joining two nodes multiplies out
 
     h = z1 z2 + rho (z1 w2 + z2 w1) + w1 w2 .
 
+The join is bilinear in the loadings, so a whole order of the forests of
+``spx_g_expansion`` collapses to one grid function: ``AffineState`` carries
+(z, h, w) for a linear combination of trees, and ``spx_exponent`` runs it
+through ``cumulant_states`` from the order-2 seed with the branches (X, a) and
+(zeta, c), which takes order - 2 convolutions and walks no tree.
+``tree_h`` / ``tree_value`` join one tree node by node and are its oracle.
+
 The joint exponent  a X_t + c zeta_t(T) + integral xi_t(u) g(T-u) du  closes
 with g solving the convolution Riccati integral equation
 
@@ -36,12 +43,13 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from .algebra import Forest, Tree
 from .errors import DomainError
+from .expansions import _spx_seed, cumulant_states
 
 __all__ = [
     "KernelSpec",
@@ -56,11 +64,10 @@ __all__ = [
     "riccati_residual",
     "heston_ode_reference",
     "mgf_value",
+    "AffineState",
+    "spx_exponent",
     "spx_expansion_value",
 ]
-
-PRICE_LEAF_LABELS = frozenset({"X", "Y"})
-ZETA_LEAF_LABELS = frozenset({"zeta"})
 
 GROWTH_BOUND = 1.0e3
 MIN_STEPS = 8  # fewest grid steps ``solve_riccati`` takes
@@ -252,7 +259,7 @@ def kernel_convolve(kernel: KernelSpec, values: np.ndarray, grid: np.ndarray) ->
 
 
 # ---------------------------------------------------------------------------
-# Tree loadings
+# Tree loadings and the per-order affine state
 # ---------------------------------------------------------------------------
 
 
@@ -290,39 +297,80 @@ def _tree_grid(
     return grid, _Convolution(kernel, grid), kappa_bar(kernel, grid, delta)
 
 
-def _node_loading(
-    tree: Tree,
-    rho: float,
-    kbar: np.ndarray,
-    convolve: _Convolution,
-    loadings: Dict[Tree, np.ndarray],
-) -> Tuple[float, np.ndarray]:
-    """(z, w): dZ- and dW-loadings (per sqrt(v)) of the node's martingale part;
-    an internal node's w = kappa * h is convolved once per ``loadings`` dict."""
-    if tree.label in PRICE_LEAF_LABELS:
-        return 1.0, np.zeros_like(kbar)
-    if tree.label in ZETA_LEAF_LABELS:
-        return 0.0, kbar
-    if tree.label is not None:
+def _plus(u: Optional[np.ndarray], v: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    return v if u is None else u if v is None else u + v
+
+
+def _times(u: Optional[np.ndarray], q: float) -> Optional[np.ndarray]:
+    return None if u is None else u * q
+
+
+class AffineState:
+    """A linear combination of affine diamond trees on one tau-grid, closed
+    under ``+``, ``scale`` and ``diamond``, so ``cumulant_states`` runs it.
+
+    ``z`` is the price (dZ) loading, ``h`` the weight of the internal trees
+    and ``w_leaf`` the dW loading of the leaves (None for none).  The child
+    loading w = w_leaf + kappa * h is convolved once, the first time the state
+    enters a diamond, and joining two states gives the internal weight
+
+        h = z1 z2 + rho (z1 w2 + z2 w1) + w1 w2 .
+
+    A price leaf is (z, w) = (1, 0) and a zeta leaf (0, kappa_bar).
+    """
+
+    __slots__ = ("convolve", "rho", "z", "h", "w_leaf", "_w")
+
+    def __init__(
+        self,
+        convolve: _Convolution,
+        rho: float,
+        z: float,
+        h: Optional[np.ndarray],
+        w_leaf: Optional[np.ndarray],
+    ):
+        self.convolve, self.rho = convolve, rho
+        self.z, self.h, self.w_leaf = z, h, w_leaf
+        self._w: Optional[np.ndarray] = None
+
+    @property
+    def w(self) -> np.ndarray:
+        if self._w is None:
+            self._w = _plus(self.w_leaf, None if self.h is None else self.convolve(self.h))
+        return self._w
+
+    def __add__(self, other: "AffineState") -> "AffineState":
+        return AffineState(
+            self.convolve, self.rho, self.z + other.z, _plus(self.h, other.h),
+            _plus(self.w_leaf, other.w_leaf),
+        )
+
+    def scale(self, q) -> "AffineState":
+        q = float(q)
+        return AffineState(
+            self.convolve, self.rho, self.z * q, _times(self.h, q), _times(self.w_leaf, q)
+        )
+
+    def diamond(self, other: "AffineState") -> "AffineState":
+        z1, w1, z2, w2 = self.z, self.w, other.z, other.w
+        h = w1 * w2
+        if z1 or z2:  # only a price leaf has dZ terms
+            h += z1 * z2 + self.rho * (z1 * w2 + z2 * w1)
+        return AffineState(self.convolve, self.rho, 0.0, h, None)
+
+
+def _leaf_states(convolve: _Convolution, rho: float, kbar: np.ndarray) -> Dict[str, AffineState]:
+    price = AffineState(convolve, rho, 1.0, None, np.zeros_like(kbar))
+    zeta = AffineState(convolve, rho, 0.0, None, kbar)
+    return {"X": price, "Y": price, "zeta": zeta}
+
+
+def _tree_state(tree: Tree, leaves: Dict[str, AffineState]) -> AffineState:
+    if tree.label is None:
+        return _tree_state(tree.left, leaves).diamond(_tree_state(tree.right, leaves))
+    if tree.label not in leaves:
         raise ValueError(f"unsupported leaf label {tree.label!r}")
-    w = loadings.get(tree)
-    if w is None:
-        w = loadings[tree] = convolve(_tree_h_values(tree, rho, kbar, convolve, loadings))
-    return 0.0, w
-
-
-def _tree_h_values(
-    tree: Tree,
-    rho: float,
-    kbar: np.ndarray,
-    convolve: _Convolution,
-    loadings: Dict[Tree, np.ndarray],
-) -> np.ndarray:
-    if tree.label is not None:
-        raise ValueError("a single leaf is not a diamond tree (needs >= 2 leaves)")
-    z1, w1 = _node_loading(tree.left, rho, kbar, convolve, loadings)
-    z2, w2 = _node_loading(tree.right, rho, kbar, convolve, loadings)
-    return z1 * z2 + rho * (z1 * w2 + z2 * w1) + w1 * w2
+    return leaves[tree.label]
 
 
 def tree_h(
@@ -337,9 +385,14 @@ def tree_h(
 
     Base pairs: (X <> X) -> 1, (X <> zeta) -> rho kappa_bar, (zeta <> zeta)
     -> kappa_bar^2; an internal subtree enters through kappa * h_subtree.
+    The tree is walked node by node, so this is the single-tree oracle of
+    ``spx_exponent``.
     """
     grid, convolve, kbar = _tree_grid(kernel, delta, horizon, n_steps)
-    return HFunction(grid=grid, values=_tree_h_values(tree, rho, kbar, convolve, {}))
+    if tree.label is not None:
+        raise ValueError("a single leaf is not a diamond tree (needs >= 2 leaves)")
+    state = _tree_state(tree, _leaf_states(convolve, rho, kbar))
+    return HFunction(grid=grid, values=state.h)
 
 
 def tree_value(
@@ -520,6 +573,17 @@ def _riccati_march(
     return march.g
 
 
+def _check_inputs(rho: float, n_steps: int, values: Dict[str, float]) -> None:
+    """Refusals that ``solve_riccati`` and ``spx_exponent`` share."""
+    if not -1.0 <= rho <= 1.0:
+        raise ValueError("rho must lie in [-1, 1]")
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not MIN_STEPS <= n_steps <= MAX_STEPS:
+        raise ValueError(f"n_steps must lie in [{MIN_STEPS}, {MAX_STEPS}], got {n_steps}")
+
+
 def solve_riccati(
     kernel: KernelSpec,
     rho: float,
@@ -540,15 +604,9 @@ def solve_riccati(
     against a half-resolution solve, a practical error estimate at first
     order.
     """
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [-1, 1]")
-    for name, value in (("a", a), ("b", b), ("c", c), ("delta", delta), ("horizon T", horizon)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    _check_inputs(rho, n_steps, {"a": a, "b": b, "c": c, "delta": delta, "horizon T": horizon})
     if not horizon > 0:
         raise ValueError("horizon must be positive")
-    if not MIN_STEPS <= n_steps <= MAX_STEPS:
-        raise ValueError(f"n_steps must lie in [{MIN_STEPS}, {MAX_STEPS}], got {n_steps}")
     grid = np.linspace(0.0, horizon, n_steps + 1)
     g = _riccati_march(kernel, rho, a, b, c, delta, grid)
     half = _riccati_march(kernel, rho, a, b, c, delta, grid[::2])
@@ -668,6 +726,63 @@ def mgf_value(
     return sol.a * x + sol.c * zeta + integral
 
 
+def spx_exponent(
+    order: int,
+    kernel: KernelSpec,
+    rho: float,
+    a: float,
+    b: float,
+    c: float,
+    delta: float,
+    curve: ForwardVarianceCurve,
+    x: float,
+    zeta: float,
+    t: float,
+    T: float,
+    n_steps: int = 1024,
+) -> float:
+    """Truncated exponent: a X_t + c zeta_t(T) + integral_t^T xi_t(u) h(T-u) du
+    with h = h_2 + ... + h_order, the weights of the forests of
+    ``spx_g_expansion`` at (a, b, c).
+
+    The diamond is bilinear in the loadings, so every order is one
+    ``AffineState`` and ``cumulant_states`` runs them from the seed
+
+        h_2 = (a(a-1)/2 + b)(X<>X) + ac (X<>zeta) + c^2/2 (zeta<>zeta)
+            = a(a-1)/2 + b + ac rho kappa_bar + c^2 kappa_bar^2 / 2
+
+    with the branches (X, a) and (zeta, c):
+
+        h_k = 1/2 sum_{j=2}^{k-2} w_j w_{k-j} + (a rho + c kappa_bar) w_{k-1},
+        w_k = kappa * h_k .
+
+    One grid, spectrum and kappa_bar per call, order - 2 convolutions and
+    one trapezoid against xi.  The sum h is the expansion of the discrete
+    equation that ``solve_riccati`` marches, so on the same grid the exponent
+    tends to ``mgf_value`` as the order grows, where the series converges.
+    """
+    if order < 2:
+        raise ValueError("order must be >= 2")
+    values = {"a": a, "b": b, "c": c, "delta": delta, "x": x, "zeta": zeta, "t": t, "T": T}
+    _check_inputs(rho, n_steps, values)
+    if not T > t:
+        raise ValueError("need t < T")
+    grid, convolve, kbar = _tree_grid(kernel, delta, T - t, n_steps)
+    leaves = _leaf_states(convolve, rho, kbar)
+    price, zeta_leaf = leaves["Y"], leaves["zeta"]
+    seed = (
+        price.diamond(price).scale(0.5 * a * (a - 1.0) + b)
+        + price.diamond(zeta_leaf).scale(a * c)
+        + zeta_leaf.diamond(zeta_leaf).scale(0.5 * c * c)
+    )
+    states = cumulant_states({2: seed}, order, [(price, a), (zeta_leaf, c)])
+    h = sum(states[k].h for k in range(2, order + 1))
+    value = a * x + c * zeta + float(np.trapezoid(curve(T - grid) * h, grid))
+    if not math.isfinite(value):
+        raise DomainError(f"the order-{order} exponent overflowed: weights (a, b, c) too large")
+    return value
+
+
 def spx_expansion_value(
     order: int,
     orders_forests: Dict[int, Forest],
@@ -684,30 +799,17 @@ def spx_expansion_value(
     T: float,
     n_steps: int = 1024,
 ) -> float:
-    """Truncated exponent: a X_t + c zeta_t(T) + sum of forest values.
+    """``spx_exponent`` for a caller that holds the forests of ``spx_g_expansion``.
 
-    ``orders_forests`` maps order k to the two-leaf-type forest whose
-    coefficients are polynomials in the symbols a, b, c; each tree value is
-    the convolution-form quadrature.  Every tree is walked on one grid with
-    one convolution and one zeta-leaf loading, built once per call, and each
-    distinct internal subtree is convolved once per call.
+    The forests are checked, not walked: ``orders_forests`` must have the SPX
+    seed at order 2 and reach ``order``, or ``ValueError`` is raised.  The sum
+    of coeff * ``tree_value`` over them is the test oracle of the result.
     """
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    if not T > t:
-        raise ValueError("need t < T")
-    grid, convolve, kbar = _tree_grid(kernel, delta, T - t, n_steps)
-    xi = curve(T - grid)
-    bindings = {"a": a, "b": b, "c": c}
-    loadings: Dict[Tree, np.ndarray] = {}
-    total = a * x + c * zeta
-    for k in sorted(orders_forests):
-        if k > order:
-            break
-        for tree, poly in orders_forests[k]:
-            coeff = poly.evaluate(bindings)
-            if coeff == 0.0:
-                continue
-            h = HFunction(grid=grid, values=_tree_h_values(tree, rho, kbar, convolve, loadings))
-            total += float(coeff) * float(np.trapezoid(xi * h.values, grid))
-    return total
+    if orders_forests.get(2) != _spx_seed():
+        raise ValueError(
+            "orders_forests must be spx_g_expansion forests (order 2 is not the SPX seed)"
+        )
+    top = max(orders_forests)
+    if order > top:
+        raise ValueError(f"order {order} exceeds the forests' top order {top}")
+    return spx_exponent(order, kernel, rho, a, b, c, delta, curve, x, zeta, t, T, n_steps)

@@ -176,6 +176,20 @@ def g_expansion(max_order: int) -> ExpansionResult:
     return ExpansionResult(kind="G", alphabet=("Y",), symbols=("a", "b"), orders=orders)
 
 
+def _spx_seed() -> Forest:
+    """Order-2 SPX forest (a(a-1)/2 + b)(Y<>Y) + ac (Y<>zeta) + c^2/2 (zeta<>zeta)."""
+    a = Poly.symbol("a")
+    b = Poly.symbol("b")
+    c = Poly.symbol("c")
+    y = leaf("Y")
+    z = leaf("zeta")
+    return (
+        Forest.of(join(y, y), a * (a - 1) * HALF + b)
+        + Forest.of(join(y, z), a * c)
+        + Forest.of(join(z, z), c * c * HALF)
+    )
+
+
 def spx_g_expansion(max_order: int) -> ExpansionResult:
     """Three-parameter G forests over the two-leaf alphabet {Y, zeta}.
 
@@ -188,17 +202,11 @@ def spx_g_expansion(max_order: int) -> ExpansionResult:
     forest — the martingality cancellation.
     """
     _check_order(max_order, 2)
-    a = Poly.symbol("a")
-    b = Poly.symbol("b")
-    c = Poly.symbol("c")
-    y = leaf("Y")
-    z = leaf("zeta")
-    g2 = (
-        Forest.of(join(y, y), a * (a - 1) * HALF + b)
-        + Forest.of(join(y, z), a * c)
-        + Forest.of(join(z, z), c * c * HALF)
+    orders = cumulant_states(
+        {2: _spx_seed()},
+        max_order,
+        [(Forest.of(leaf("Y")), Poly.symbol("a")), (Forest.of(leaf("zeta")), Poly.symbol("c"))],
     )
-    orders = cumulant_states({2: g2}, max_order, [(Forest.of(y), a), (Forest.of(z), c)])
     return ExpansionResult(
         kind="SPXG", alphabet=("Y", "zeta"), symbols=("a", "b", "c"), orders=orders
     )

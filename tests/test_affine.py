@@ -23,12 +23,13 @@ from diamond_forests.affine import (
     riccati_residual,
     solve_riccati,
     spx_expansion_value,
+    spx_exponent,
     tree_h,
     tree_value,
 )
 from diamond_forests.algebra import join, leaf
 from diamond_forests.errors import DomainError
-from diamond_forests.expansions import k_expansion, spx_g_expansion
+from diamond_forests.expansions import g_expansion, k_expansion, spx_g_expansion
 
 EXP = KernelSpec.exponential(nu=0.3, lam=1.0)
 POW = KernelSpec.power_law(nu=0.4, alpha=0.6)
@@ -594,6 +595,18 @@ def test_expansion_converges_to_solver_value():
     assert gaps[3] <= 2e-13
 
 
+def forest_sum(orders, order, kern, rho, a, b, c, delta, crv, x, zeta, n_steps):
+    """a x + c zeta + sum of coeff * tree_value over the forests up to ``order``."""
+    total = a * x + c * zeta
+    for k in range(2, order + 1):
+        for tree, poly in orders[k]:
+            coeff = float(poly.evaluate({"a": a, "b": b, "c": c}))
+            if coeff != 0.0:
+                total += coeff * tree_value(tree, kern, rho, delta, crv, 0.0, 1.0,
+                                            n_steps=n_steps)
+    return total
+
+
 @pytest.mark.parametrize("kern", [EXP, POW], ids=["exp", "power"])
 def test_expansion_value_is_the_sum_of_its_tree_values(kern):
     # one grid, convolution and zeta loading shared by every tree give the same
@@ -603,13 +616,7 @@ def test_expansion_value_is_the_sum_of_its_tree_values(kern):
     orders = spx_g_expansion(5).orders
     got = spx_expansion_value(5, orders, kern, rho, a, b, c, delta, crv,
                               x=0.3, zeta=0.2, t=0.0, T=1.0, n_steps=1024)
-    want = a * 0.3 + c * 0.2
-    for forest in orders.values():
-        for tree, poly in forest:
-            coeff = float(poly.evaluate({"a": a, "b": b, "c": c}))
-            if coeff != 0.0:
-                want += coeff * tree_value(tree, kern, rho, delta, crv, 0.0, 1.0,
-                                           n_steps=1024)
+    want = forest_sum(orders, 5, kern, rho, a, b, c, delta, crv, 0.3, 0.2, 1024)
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
@@ -668,43 +675,87 @@ def test_affine_requests_leave_no_reference_cycles():
 
 
 @pytest.mark.parametrize("kern", [EXP, POW], ids=["exp", "power"])
-def test_expansion_convolves_each_distinct_subtree_once(kern, monkeypatch):
+def test_expansion_takes_order_minus_two_convolutions(kern, monkeypatch):
+    # each order is one numeric state, convolved once when a higher order
+    # first uses it; the top order never is
     a, b, c, rho, delta = 0.2, 0.1, 0.1, -0.6, 0.1
     crv = ForwardVarianceCurve.sampled([0.0, 0.5, 1.0], [0.04, 0.05, 0.03])
-    orders = spx_g_expansion(6).orders
-    bindings = {"a": a, "b": b, "c": c}
-    subtrees = set()
-
-    def collect(tree):
-        for child in (tree.left, tree.right):
-            if not child.is_leaf():
-                subtrees.add(child)
-                collect(child)
-
-    for forest in orders.values():
-        for tree, poly in forest:
-            if poly.evaluate(bindings) != 0.0:
-                collect(tree)
-    assert len(subtrees) == 81
-
-    calls = []
+    orders = spx_g_expansion(8).orders
     convolve = affine._Convolution.__call__
+    calls = []
 
     def counting(self, values):
         calls.append(values.size)
         return convolve(self, values)
 
-    monkeypatch.setattr(affine._Convolution, "__call__", counting)
-    got = spx_expansion_value(6, orders, kern, rho, a, b, c, delta, crv,
-                              x=0.3, zeta=0.2, t=0.0, T=1.0, n_steps=512)
-    assert len(calls) == len(subtrees)
-    monkeypatch.undo()
+    got = {}
+    for order in (2, 5, 6, 8):
+        monkeypatch.setattr(affine._Convolution, "__call__", counting)
+        got[order] = spx_expansion_value(order, orders, kern, rho, a, b, c, delta, crv,
+                                         x=0.3, zeta=0.2, t=0.0, T=1.0, n_steps=512)
+        monkeypatch.undo()
+        assert calls == [513] * (order - 2)
+        calls.clear()
 
-    want = a * 0.3 + c * 0.2
-    for k in sorted(orders):
-        for tree, poly in orders[k]:
-            coeff = poly.evaluate(bindings)
-            if coeff != 0.0:
-                want += float(coeff) * tree_value(tree, kern, rho, delta, crv, 0.0, 1.0,
-                                                  n_steps=512)
-    assert got == want
+    # the collapsed orders equal the single-tree oracle summed over the forests
+    for order in (6, 8):
+        want = forest_sum(orders, order, kern, rho, a, b, c, delta, crv, 0.3, 0.2, 512)
+        assert abs(got[order] - want) <= 1e-13 * abs(want)
+
+
+def bench_like_params(kern, c):
+    crv = ForwardVarianceCurve.sampled([0.0, 0.5, 1.0], [0.04, 0.05, 0.03])
+    return kern, -0.6, 0.2, 0.1, c, 0.1, crv
+
+
+@pytest.mark.parametrize("c", [0.0, 0.1], ids=["c0", "c"])
+@pytest.mark.parametrize("kern", [EXP, POW], ids=["exp", "power"])
+def test_spx_exponent_reaches_the_solver_value_at_order_30(kern, c):
+    # both sides solve the same discrete equation on the same grid, so the
+    # truncation gap falls with the order until rounding is all that is left
+    kern, rho, a, b, c, delta, crv = bench_like_params(kern, c)
+    sol = solve_riccati(kern, rho, a, b, c, delta, horizon=1.0, n_steps=2048)
+    mv = mgf_value(sol, x=0.3, curve=crv, zeta=0.2, t=0.0, T=1.0)
+    gaps = [
+        abs(spx_exponent(order, kern, rho, a, b, c, delta, crv, 0.3, 0.2, 0.0, 1.0,
+                         n_steps=2048) - mv)
+        for order in (2, 4, 8, 30)
+    ]
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert gaps[3] <= 1e-17
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [(name, value, f"^{name} must be finite")
+     for name in ("x", "zeta", "a", "b", "c", "delta", "t", "T")
+     for value in (math.nan, math.inf)]
+    + [("rho", 2.0, "^rho must lie"), ("rho", math.nan, "^rho must lie"),
+       ("n_steps", 10**6, "^n_steps must lie"), ("n_steps", 4, "^n_steps must lie")],
+)
+def test_expansion_refuses_out_of_domain_inputs(name, value, message):
+    kern, rho, a, b, c, delta, crv = bench_like_params(POW, 0.1)
+    args = dict(kernel=kern, rho=rho, a=a, b=b, c=c, delta=delta, curve=crv, x=0.3,
+                zeta=0.2, t=0.0, T=1.0, n_steps=512)
+    args[name] = value
+    with pytest.raises(ValueError, match=message):
+        spx_expansion_value(4, spx_g_expansion(4).orders, **args)
+
+
+def test_spx_exponent_refuses_an_overflowed_exponent():
+    kern, rho, a, b, c, delta, crv = bench_like_params(EXP, 0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="order-4 exponent overflowed"):
+            spx_exponent(4, kern, rho, 1e200, b, c, delta, crv, 0.0, 0.0, 0.0, 1.0,
+                         n_steps=64)
+
+
+def test_expansion_refuses_forests_it_cannot_stand_for():
+    kern, rho, a, b, c, delta, crv = bench_like_params(POW, 0.1)
+    args = (kern, rho, a, b, c, delta, crv, 0.3, 0.2, 0.0, 1.0)
+    with pytest.raises(ValueError, match="exceeds the forests' top order 4"):
+        spx_expansion_value(8, spx_g_expansion(4).orders, *args)
+    with pytest.raises(ValueError, match="not the SPX seed"):
+        spx_expansion_value(6, g_expansion(6).orders, *args)
+    with pytest.raises(ValueError, match="not the SPX seed"):
+        spx_expansion_value(2, {}, *args)

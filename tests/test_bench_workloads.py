@@ -34,6 +34,8 @@ WORKLOADS_MODULE = _workloads_module()
         ("affine-exponent", ("exp", True, 1024, 5)),
         ("mc-oracle", ("BESQ", 0)),
         ("cli-cold", ("mc-heston",)),
+        # the heaviest forest cell: order 6 with c != 0, as the benchmark times it
+        ("affine-exponent", ("power", False, 2048, 6)),
     ],
 )
 def test_workload_cell_runs_and_passes_its_check(name, cell):
