@@ -48,7 +48,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .algebra import Forest, Tree
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .expansions import _spx_seed, cumulant_states
 
 __all__ = [
@@ -94,9 +94,7 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("exp", "power"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        for name, value in (("nu", self.nu), ("lam", self.lam)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        require_finite(nu=self.nu, lam=self.lam)
         if not self.nu > 0:
             raise ValueError("nu must be positive")
         if self.kind == "exp" and not self.lam > 0:
@@ -483,6 +481,12 @@ def _pchip(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return evaluate
 
 
+def _riccati_terms(rho, a, b, c, kbar):
+    """The constant C = b - a/2 + (1 - rho^2) a^2/2 and the forcing
+    q = rho a + c kappa_bar of g = C + (q + kappa * g)^2 / 2."""
+    return b - 0.5 * a + 0.5 * (1.0 - rho * rho) * a * a, rho * a + c * kbar
+
+
 class _RiccatiMarch:
     """The product-integration march of the convolution Riccati equation,
     solved in increasing j with its history sums built by divide and conquer.
@@ -498,8 +502,8 @@ class _RiccatiMarch:
     """
 
     def __init__(self, kernel, rho, a, b, c, delta, grid):
-        self.C = C = b - 0.5 * a + 0.5 * (1.0 - rho * rho) * a * a
-        q = rho * a + c * kappa_bar(kernel, grid, delta)
+        C, q = _riccati_terms(rho, a, b, c, kappa_bar(kernel, grid, delta))
+        self.C = C
         self.W, E = _conv_weights(kernel, grid)
         self.w0 = float(self.W[0])
         self.w1 = self.W[1:_LEAF_STEPS].tolist()
@@ -577,9 +581,7 @@ def _check_inputs(rho: float, n_steps: int, values: Dict[str, float]) -> None:
     """Refusals that ``solve_riccati`` and ``spx_exponent`` share."""
     if not -1.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [-1, 1]")
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    require_finite(**values)
     if not MIN_STEPS <= n_steps <= MAX_STEPS:
         raise ValueError(f"n_steps must lie in [{MIN_STEPS}, {MAX_STEPS}], got {n_steps}")
 
@@ -635,8 +637,8 @@ def riccati_residual(sol: RiccatiSolution, refine: int = 8) -> float:
     fine = np.linspace(0.0, sol.horizon, refine * (sol.grid.size - 1) + 1)
     conv_fine = kernel_convolve(sol.kernel, interp(fine), fine)
     conv = conv_fine[::refine]
-    C = sol.b - 0.5 * sol.a + 0.5 * (1.0 - sol.rho**2) * sol.a**2
-    q = sol.rho * sol.a + sol.c * kappa_bar(sol.kernel, sol.grid, sol.delta)
+    kbar = kappa_bar(sol.kernel, sol.grid, sol.delta)
+    C, q = _riccati_terms(sol.rho, sol.a, sol.b, sol.c, kbar)
     defect = C + 0.5 * (q + conv) ** 2 - sol.g
     return float(np.max(np.abs(defect)))
 
@@ -667,12 +669,12 @@ def heston_ode_reference(
     if kernel.kind != "exp":
         raise ValueError("ODE reference only covers the exponential kernel")
     nu, lam = kernel.nu, kernel.lam
-    C = b - 0.5 * a + 0.5 * (1.0 - rho * rho) * a * a
+    C, y0 = _riccati_terms(rho, a, b, 0.0, 0.0)  # c = 0: the forcing is y0 = rho a
     k = nu * C + lam * rho * a
     disc = lam * lam - 2.0 * nu * k
     s = cmath.sqrt(disc)
     r_minus = 2.0 * k / (lam + s)  # (lam - s)/nu without the cancellation
-    d = rho * a - r_minus
+    d = y0 - r_minus
     horizon = float(grid[-1])
     if disc < 0.0:  # y = lam/nu + (w/nu) tan(w tau/2 + theta0) has a pole each period
         w = s.imag
@@ -706,9 +708,7 @@ def mgf_value(
     T: float,
 ) -> float:
     """a X_t + c zeta_t(T) + integral_t^T xi_t(u) g(T-u) du on the solved grid."""
-    for name, value in (("x", x), ("zeta", zeta), ("t", t), ("T", T)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    require_finite(x=x, zeta=zeta, t=t, T=T)
     tau = T - t
     if tau <= 0:
         raise ValueError("need t < T")

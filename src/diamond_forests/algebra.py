@@ -10,6 +10,14 @@ The objects here are the building blocks of the cumulant expansions:
   on serializations, so structurally equal trees are identical objects.
 * ``Forest`` — finite linear combinations of trees with ``Poly`` coefficients;
   the diamond product extends bilinearly.
+* ``parse_poly`` — reads a ``Poly`` from text such as ``-a^2/2`` (the CLI's
+  ``--bind``).  One regex pass spells ``^`` as ``**``, puts ``_`` before each
+  identifier (so keywords such as ``lambda`` stay symbols) and rewrites each
+  digit run as its int (so ``01`` reads as 1).  Python's own ``ast`` then
+  parses the text, and one walk over the tree accepts only the polynomial
+  nodes; anything else, malformed or too deeply nested input included,
+  raises ``ValueError``.  So does ``#``, which Python reads as a comment, and
+  text that Python would NFKC-normalize, so that ``ª`` never reads as ``a``.
 
 All arithmetic is exact: identities that are supposed to cancel (for instance
 the exponential-martingale cancellation in the expansion engine) cancel to the
@@ -18,6 +26,10 @@ structural zero forest, never merely to a small float.
 
 from __future__ import annotations
 
+import ast
+import operator
+import re
+import unicodedata
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Dict, Iterator, Mapping, Optional, Tuple, Union
@@ -239,8 +251,36 @@ def as_poly(x: PolyLike) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Tiny expression parser for polynomials (used by the CLI's --bind and tests)
+# Polynomial expressions (the CLI's --bind and the tests), read by Python's ast
 # ---------------------------------------------------------------------------
+
+# ``^`` -> ``**``, name -> ``_name``, digit run -> its int (module docstring)
+_LEXEME = re.compile(r"\^|[^\W\d]\w*|\d+")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: lambda p, q: p * (1 / q.constant_value())}
+
+
+def _python_lexeme(match: "re.Match[str]") -> str:
+    s = match[0]
+    return "**" if s == "^" else str(int(s)) if s[0].isdigit() else "_" + s
+
+
+def _poly_of(node: ast.AST) -> Poly:
+    op = type(getattr(node, "op", node))
+    if op is ast.Name:
+        return Poly.symbol(node.id[1:])
+    if op is ast.Constant and type(node.value) is int:
+        return Poly.const(node.value)
+    if op in (ast.UAdd, ast.USub):
+        return -_poly_of(node.operand) if op is ast.USub else _poly_of(node.operand)
+    if op is ast.Pow:
+        if not (isinstance(node.right, ast.Constant) and type(node.right.value) is int):
+            raise ValueError("exponents must be non-negative integer literals")
+        return _poly_of(node.left) ** node.right.value
+    if op in _BINARY:
+        return _BINARY[op](_poly_of(node.left), _poly_of(node.right))
+    what = repr(node.value) if op is ast.Constant else op.__name__
+    raise ValueError(f"{what} is not allowed in a polynomial")
 
 
 def parse_poly(text: str) -> Poly:
@@ -249,111 +289,16 @@ def parse_poly(text: str) -> Poly:
     Grammar: integers, rationals ``p/q``, symbols, ``+ - * / ^`` and
     parentheses; division only by nonzero constants; ``**`` accepted for ``^``.
     """
-    tokens = _tokenize(text)
-    pos = [0]
-
-    def peek() -> Optional[str]:
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
-
-    def take() -> str:
-        tok = tokens[pos[0]]
-        pos[0] += 1
-        return tok
-
-    def parse_sum() -> Poly:
-        node = parse_product()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = parse_product()
-            node = node + rhs if op == "+" else node - rhs
-        return node
-
-    def parse_product() -> Poly:
-        node = parse_factor()
-        while peek() in ("*", "/"):
-            op = take()
-            rhs = parse_factor()
-            if op == "*":
-                node = node * rhs
-            else:
-                c = rhs.constant_value()
-                if c == 0:
-                    raise ValueError("division by zero")
-                node = node * Poly.const(Fraction(1) / c)
-        return node
-
-    def parse_factor() -> Poly:
-        if peek() == "-":
-            take()
-            return -parse_factor()
-        if peek() == "+":
-            take()
-            return parse_factor()
-        node = parse_atom()
-        if peek() == "^":
-            take()
-            neg = False
-            if peek() == "-":
-                raise ValueError("negative exponent")
-            exp_tok = take()
-            if not exp_tok.isdigit():
-                raise ValueError(f"bad exponent {exp_tok!r}")
-            node = node ** int(exp_tok)
-        return node
-
-    def parse_atom() -> Poly:
-        tok = peek()
-        if tok is None:
-            raise ValueError("unexpected end of expression")
-        if tok == "(":
-            take()
-            node = parse_sum()
-            if peek() != ")":
-                raise ValueError("unbalanced parentheses")
-            take()
-            return node
-        take()
-        if tok[0].isdigit():
-            return Poly.const(Fraction(tok))
-        if tok[0].isalpha() or tok[0] == "_":
-            return Poly.symbol(tok)
-        raise ValueError(f"unexpected token {tok!r}")
-
-    result = parse_sum()
-    if pos[0] != len(tokens):
-        raise ValueError(f"trailing input at token {tokens[pos[0]]!r}")
-    return result
-
-
-def _tokenize(text: str) -> list:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/^()":
-            if ch == "*" and i + 1 < len(text) and text[i + 1] == "*":
-                out.append("^")
-                i += 2
-            else:
-                out.append(ch)
-                i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(text[i:j])
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(text[i:j])
-            i = j
-        else:
-            raise ValueError(f"bad character {ch!r} in expression")
-    return out
+    if "#" in text or unicodedata.normalize("NFKC", text) != text:
+        raise ValueError("'#' (a comment) and text Python would NFKC-normalize are refused")
+    source = _LEXEME.sub(_python_lexeme, " ".join(text.split()))
+    try:
+        return _poly_of(ast.parse(source, mode="eval").body)
+    except ZeroDivisionError as exc:
+        raise ValueError("division by zero") from exc
+    except (SyntaxError, RecursionError) as exc:
+        why = getattr(exc, "msg", "nested too deeply")
+        raise ValueError(f"malformed expression: {why}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -562,16 +507,6 @@ class Forest:
         return Forest(d)
 
     # -- presentation ------------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        """JSON form: ``{"trees":[{"shape":"((Y,Y),Y)","coeff":"1/2"}, ...]}``.
-
-        Coefficients serialize via ``str(Poly)`` (pure rationals come out as
-        plain ``"p/q"`` strings).
-        """
-        return {
-            "trees": [{"shape": t.shape, "coeff": str(p)} for t, p in self]
-        }
 
     def to_text(self) -> str:
         if self.is_zero():

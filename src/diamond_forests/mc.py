@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 __all__ = [
     "BLOCK_PATHS",
@@ -63,8 +63,12 @@ class SimConfig:
             raise ValueError(f"n_paths must be >= {MIN_PATHS}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
+        require_finite(horizon=self.horizon)
+        require_finite(**{k: v for k, v in self.params.items() if isinstance(v, (int, float))})
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
+        if self.model == "Chaos2" and "kernel" not in self.params:
+            raise ValueError("model Chaos2 needs a kernel (--kernel FILE)")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 

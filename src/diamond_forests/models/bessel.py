@@ -35,7 +35,7 @@ from typing import Callable, Dict, Sequence, Union
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import DomainError, require_finite
 
 __all__ = [
     "BesselGamma",
@@ -146,6 +146,7 @@ def bessel_laplace(x: float, delta: float, lam: float, T: float) -> float:
 
     Equals (1 + 2 lambda T)^{-delta/2} * exp(-lambda x / (1 + 2 lambda T)).
     """
+    require_finite(x=x, delta=delta, lam=lam, T=T)
     if lam < 0:
         raise DomainError("lambda must be >= 0 (Laplace side only)")
     if x < 0 or delta < 0 or T <= 0:
@@ -165,6 +166,7 @@ def bessel_laplace_series(
     2 lambda T <= 1 (boundary included); beyond that the underlying series
     diverges and a DomainError is raised.
     """
+    require_finite(x=x, delta=delta, lam=lam, T=T)
     if lam < 0:
         raise DomainError("lambda must be >= 0 (Laplace side only)")
     if x < 0 or delta < 0 or T <= 0:

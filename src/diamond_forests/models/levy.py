@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import pi
 from typing import Dict, Mapping
 
-from ..errors import DomainError
+from ..errors import DomainError, require_finite
 from ..expansions import cumulant_states
 
 __all__ = [
@@ -133,6 +133,7 @@ def levy_cgf(T: float, n_max: int) -> float:
     Converges to -log cos T on |T| < pi/2; outside that domain the series is
     meaningless and a DomainError is raised.
     """
+    require_finite(T=T)
     if abs(T) >= pi / 2:
         raise DomainError(
             f"|T| = {abs(T)} is outside the convergence domain |T| < pi/2"

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..algebra import format_fraction
-from ..errors import DomainError
+from ..errors import DomainError, require_finite
 from ..expansions import cumulant_states
 from .levy import LevyState
 
@@ -92,6 +92,11 @@ def fawcett_sigma(a: str) -> Fraction:
 Key = Tuple[Tuple[str, ...], int]
 
 
+def _half_power(p: int) -> str:
+    """The exponent p/2 of (T-t), written ``"1"`` or ``"3/2"``."""
+    return str(p // 2) if p % 2 == 0 else f"{p}/2"
+
+
 @dataclass(frozen=True)
 class SigExpr:
     """Exact linear combination of word-monomials times (T-t) half-powers."""
@@ -140,6 +145,7 @@ class SigExpr:
         ``word_values`` may be omitted for conditioning at time 0, where every
         iterated integral vanishes (terms carrying any word drop out).
         """
+        require_finite(dt=dt)
         values = word_values or {}
         total = 0.0
         for (words, p), c in self.terms:
@@ -158,17 +164,10 @@ class SigExpr:
         return total
 
     def to_json_list(self) -> list:
-        out = []
-        for (words, p), c in self.terms:
-            power = str(p // 2) if p % 2 == 0 else f"{p}/2"
-            out.append(
-                {
-                    "coeff": format_fraction(c),
-                    "words": list(words),
-                    "dt_power": power,
-                }
-            )
-        return out
+        return [
+            {"coeff": format_fraction(c), "words": list(words), "dt_power": _half_power(p)}
+            for (words, p), c in self.terms
+        ]
 
     def __str__(self) -> str:
         if not self.terms:
@@ -180,8 +179,7 @@ class SigExpr:
                 bits.append(str(c))
             bits += [f"B[{w}]" for w in words]
             if p:
-                power = str(p // 2) if p % 2 == 0 else f"{p}/2"
-                bits.append(f"dt^{power}" if power != "1" else "dt")
+                bits.append("dt" if p == 2 else f"dt^{_half_power(p)}")
             parts.append("*".join(bits))
         return " + ".join(parts)
 
@@ -325,6 +323,7 @@ def cameron_martin_cgf(lam: float, n_max: int) -> float:
     singularity is the zero of cos sqrt(2 |lambda|) at lambda = -pi^2/8; for
     |lambda| >= pi^2/8 it diverges and a DomainError is raised.
     """
+    require_finite(lam=lam)
     if abs(lam) >= math.pi**2 / 8:
         raise DomainError(
             f"|lambda| = {abs(lam)} is outside the convergence domain |lambda| < pi^2/8"

@@ -88,36 +88,26 @@ class SuiteReport:
 # series oracles (independent of the tree recursions)
 
 
+def _odd_riccati_series(sign: int, top: int) -> Dict[int, Fraction]:
+    """Odd Taylor coefficients up to degree ``top`` of the f with f(0) = 0 and
+    f' = 1 + sign f^2, by term-by-term integration."""
+    f: Dict[int, Fraction] = {}
+    for d in range(1, top + 1, 2):
+        square = sum(f[i] * f[d - 1 - i] for i in range(1, d - 1, 2))
+        f[d] = (Fraction(d == 1) + sign * square) / d
+    return f
+
+
 def tan_taylor_coefficients(order: int) -> Dict[int, Fraction]:
     """Odd Taylor coefficients of tan via term-by-term integration of f' = f^2 + 1."""
-    coeffs: Dict[int, Fraction] = {1: Fraction(1)}
-    degree = 1
-    while degree < order:
-        # derivative coefficient at even degree d: sum of products + [d == 0]
-        new_degree = degree + 2
-        c = Fraction(0)
-        for i in range(1, new_degree - 1, 2):
-            j = new_degree - 1 - i
-            c += coeffs.get(i, Fraction(0)) * coeffs.get(j, Fraction(0))
-        coeffs[new_degree] = c / new_degree
-        degree = new_degree
-    return {d: c for d, c in coeffs.items() if d <= order}
+    return _odd_riccati_series(1, order)
 
 
 def log_cosh_taylor_coefficients(order: int) -> Dict[int, Fraction]:
     """Coefficients of x^{2n} in log cosh x, from tanh' = 1 - tanh^2."""
-    tanh: Dict[int, Fraction] = {1: Fraction(1)}
-    degree = 1
-    while degree < 2 * order:
-        new_degree = degree + 2
-        c = Fraction(0)
-        for i in range(1, new_degree - 1, 2):
-            j = new_degree - 1 - i
-            c -= tanh.get(i, Fraction(0)) * tanh.get(j, Fraction(0))
-        tanh[new_degree] = c / new_degree
-        degree = new_degree
+    tanh = _odd_riccati_series(-1, 2 * order - 1)
     # log cosh = integral of tanh
-    return {(d + 1) // 2: c / (d + 1) for d, c in tanh.items() if d + 1 <= 2 * order}
+    return {(d + 1) // 2: c / (d + 1) for d, c in tanh.items()}
 
 
 # ---------------------------------------------------------------------------

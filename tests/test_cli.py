@@ -115,6 +115,11 @@ def test_expand_rejects_malformed_binding():
                      "--bind", "nonsense"]) == 2
 
 
+def test_expand_refuses_a_truncated_binding(capsys):
+    assert cli.main(["expand", "--kind", "G", "--order", "3", "--bind", "b=a^"]) == 2
+    assert "cannot parse binding 'b=a^'" in capsys.readouterr().err
+
+
 def test_levy_partial_sum_approaches_closed_form():
     doc = run_json(["levy", "--order", "20", "--T", "0.5"])
     res = doc["result"]
@@ -386,6 +391,32 @@ def test_non_finite_riccati_inputs_are_refused(flag, value, name, capsys):
     argv[flag] = value
     assert cli.main(["riccati", *(t for item in argv.items() for t in item)]) == 2
     assert f"{name} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["levy", "--T", "nan"], "T"),
+        (["cameron-martin", "--lam", "nan"], "lam"),
+        (["bessel", "--delta", "2", "--lambda", "0.5", "--T", "1", "--x", "nan"], "x"),
+        (["bessel", "--delta", "nan", "--lambda", "0.5", "--T", "1"], "delta"),
+        (["bessel", "--delta", "2", "--lambda", "nan", "--T", "1"], "lam"),
+        (["bessel", "--delta", "2", "--lambda", "0.5", "--T", "nan"], "T"),
+        (["signature", "--left", "1", "--right", "2", "--T", "nan"], "dt"),
+        (["mc", "--model", "BMdrift", "--paths", "100", "--param", "mu=nan"], "mu"),
+        (["mc", "--model", "BMdrift", "--paths", "100", "--T", "inf"], "horizon"),
+    ],
+    ids=["levy-T", "cameron-martin-lam", "bessel-x", "bessel-delta", "bessel-lambda",
+         "bessel-T", "signature-T", "mc-param", "mc-T"],
+)
+def test_non_finite_inputs_are_refused(argv, name, capsys):
+    assert cli.main(argv) == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
+
+
+def test_chaos2_simulation_without_a_kernel_names_the_flag(capsys):
+    assert cli.main(["mc", "--model", "Chaos2", "--paths", "100"]) == 2
+    assert "--kernel" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid", ["0", "-3"])
