@@ -4,6 +4,15 @@ Sampling is organized in fixed-size path blocks, each driven by its own
 counter-based generator keyed by ``(seed, block_index)``.  The block layout
 depends only on the run configuration, never on how many workers execute the
 blocks, so results are bit-identical under any parallel schedule.
+
+Each engine samples the exact law of its discrete scheme, not necessarily by
+walking the path.  The n-step left-point Euler Levy area is dx' S dy with S
+the antisymmetric +-1 Toeplitz matrix, whose eigenvalues are
++-i cot((2k-1) pi / 2n); so it equals (T/n) sum_k cot((2k-1) pi / 2n) L_k in
+law, k = 1..floor(n/2), with L_k iid standard Laplace (the discrete form of
+P. Levy's eigen-expansion of the area, Berkeley Symp. 1951).  The stopped
+Brownian motion walks its bridge-corrected Euler path, but draws and tests
+only the paths still alive.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ __all__ = [
     "MAX_CUMULANT_ORDER",
     "THREADS_ENV",
     "MODELS",
+    "MODEL_PARAMS",
     "SimConfig",
     "Samples",
     "CumulantEstimate",
@@ -35,14 +45,23 @@ __all__ = [
 ]
 
 BLOCK_PATHS = 1 << 16
-# Chaos2 draws its increments in chunks of about this many floats (512 KiB).
+# Chaos2 and LevyArea draw in chunks of about this many floats (512 KiB).
 # Chunks of 16 MiB left tens of MiB in a worker thread's malloc arena, so the
 # peak RSS of a run depended on how the workers' frees interleaved.
-CHAOS2_CHUNK = 1 << 16
+DRAW_CHUNK = 1 << 16
 MIN_PATHS = 100
 MAX_CUMULANT_ORDER = 6
 THREADS_ENV = "DIAMOND_FORESTS_THREADS"
-MODELS = ("BMdrift", "LevyArea", "BESQ", "Heston", "StoppedBM", "Chaos2")
+# each model and the parameter names it reads; any other name is refused
+MODEL_PARAMS = {
+    "BMdrift": ("mu", "sigma"),
+    "LevyArea": (),
+    "BESQ": ("x", "delta"),
+    "Heston": ("xi0", "nu", "lam", "rho", "window"),
+    "StoppedBM": ("start",),
+    "Chaos2": ("kernel",),
+}
+MODELS = tuple(MODEL_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -59,6 +78,13 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; choose from {MODELS}")
+        unknown = sorted(set(self.params) - set(MODEL_PARAMS[self.model]))
+        if unknown:
+            allowed = ", ".join(MODEL_PARAMS[self.model]) or "no parameters"
+            raise ValueError(
+                f"model {self.model} takes no parameter {', '.join(map(repr, unknown))}; "
+                f"it reads {allowed}"
+            )
         if self.n_paths < MIN_PATHS:
             raise ValueError(f"n_paths must be >= {MIN_PATHS}")
         if self.n_steps < 1:
@@ -143,20 +169,32 @@ def _sim_bm_drift(cfg: SimConfig, rng: np.random.Generator, m: int) -> Dict[str,
     return {"X": mu * T + sigma * math.sqrt(T) * z}
 
 
+def _levy_weights(n: int, T: float) -> np.ndarray:
+    """Weights s_k = (T/n) cot((2k-1) pi / 2n), k = 1..floor(n/2): the n-step
+    Euler area equals sum_k s_k L_k in law, with L_k iid standard Laplace."""
+    k = np.arange(1, n // 2 + 1)
+    return (T / n) / np.tan((2 * k - 1) * math.pi / (2 * n))
+
+
 def _sim_levy_area(cfg: SimConfig, rng: np.random.Generator, m: int) -> Dict[str, np.ndarray]:
-    n = cfg.n_steps
-    dt = cfg.horizon / n
-    sdt = math.sqrt(dt)
-    x = np.zeros(m)
-    y = np.zeros(m)
-    a = np.zeros(m)
-    for _ in range(n):
-        z = rng.standard_normal((2, m))
-        dx = sdt * z[0]
-        dy = sdt * z[1]
-        a += x * dy - y * dx
-        x += dx
-        y += dy
+    """Left-point Euler area sum_i (x_i dy_i - y_i dx_i) over n steps, sampled
+    from its exact law.
+
+    The area is dx' S dy with S_ij = sign(j - i); S is normal with eigenvalues
+    +-i cot((2k-1) pi / 2n), and each 2 x 2 block contributes
+    dt cot(.) (u1 v2 - u2 v1), whose law is standard Laplace.  So a path takes
+    floor(n/2) Laplace draws, each the difference of two standard exponentials,
+    and one product with ``_levy_weights``; n = 1 gives the zero area.  Rows
+    are drawn in chunks of about ``DRAW_CHUNK`` floats, in path order, so the
+    output does not depend on the chunk size.
+    """
+    s = _levy_weights(cfg.n_steps, cfg.horizon)
+    a = np.empty(m)
+    chunk = max(1, min(m, DRAW_CHUNK // max(2 * s.size, 1)))
+    for lo in range(0, m, chunk):
+        hi = min(lo + chunk, m)
+        e = rng.standard_exponential((hi - lo, 2, s.size))
+        a[lo:hi] = (e[:, 0] - e[:, 1]) @ s
     return {"A": a}
 
 
@@ -207,32 +245,42 @@ def _sim_heston(cfg: SimConfig, rng: np.random.Generator, m: int) -> Dict[str, n
 
 
 def _sim_stopped_bm(cfg: SimConfig, rng: np.random.Generator, m: int) -> Dict[str, np.ndarray]:
+    """Brownian motion from ``start`` stopped at the barriers +-1: Euler steps
+    with a Brownian-bridge crossing test inside each step.
+
+    Only live paths are simulated: each step draws one normal and two uniforms
+    per live path, in the order of the live index, and the loop ends once no
+    path is alive.  A path started on a barrier is stopped at time 0.
+    """
     start = cfg.param("start", 0.0)
     if not -1.0 <= start <= 1.0:
         raise DomainError("start must lie in [-1, 1]")
     n = cfg.n_steps
     dt = cfg.horizon / n
     sdt = math.sqrt(dt)
-    x = np.full(m, start)
-    val = np.zeros(m)
-    alive = np.ones(m, dtype=bool)
+    # only paths started on a barrier keep this value
+    val = np.full(m, 1.0 if start >= 0.0 else -1.0)
+    live = np.arange(m if abs(start) < 1.0 else 0, dtype=np.int32)
+    x = np.full(live.size, start)
     for _ in range(n):
-        z = rng.standard_normal(m)
-        u = rng.random((2, m))
-        xn = x + sdt * z
-        inside = (np.abs(x) < 1.0) & (np.abs(xn) < 1.0)
-        # bridge crossing probabilities within the step
-        p_up = np.where(inside, np.exp(-2.0 * (1.0 - x) * (1.0 - xn) / dt), 0.0)
-        p_dn = np.where(inside, np.exp(-2.0 * (1.0 + x) * (1.0 + xn) / dt), 0.0)
-        hit_up = alive & ((xn >= 1.0) | (u[0] < p_up))
-        hit_dn = alive & ~hit_up & ((xn <= -1.0) | (u[1] < p_dn))
-        val[hit_up] = 1.0
-        val[hit_dn] = -1.0
-        alive &= ~(hit_up | hit_dn)
-        x = np.where(alive, xn, x)
+        if live.size == 0:
+            break
+        xn = x + sdt * rng.standard_normal(live.size)
+        u = rng.random((2, live.size))
+        # a step ending inside may still cross: the bridge crossing probabilities
+        inside = np.abs(xn) < 1.0
+        hit_up = (xn >= 1.0) | (inside & (u[0] < np.exp(-2.0 * (1.0 - x) * (1.0 - xn) / dt)))
+        hit_dn = ~hit_up & (
+            (xn <= -1.0) | (inside & (u[1] < np.exp(-2.0 * (1.0 + x) * (1.0 + xn) / dt)))
+        )
+        val[live[hit_up]] = 1.0
+        val[live[hit_dn]] = -1.0
+        keep = ~(hit_up | hit_dn)
+        live = live[keep]
+        x = xn[keep]
     # paths still alive at the horizon are attributed to the nearer barrier;
     # with barriers at +-1 the unstopped mass decays like exp(-pi^2 T / 8)
-    val[alive] = np.where(x[alive] >= 0.0, 1.0, -1.0)
+    val[live] = np.where(x >= 0.0, 1.0, -1.0)
     return {"X": val}
 
 
@@ -248,7 +296,7 @@ def _sim_chaos2(cfg: SimConfig, rng: np.random.Generator, m: int) -> Dict[str, n
     h = cfg.horizon / M
     sh = math.sqrt(h)
     out = np.empty(m)
-    chunk = max(1, min(m, CHAOS2_CHUNK // max(M, 1)))
+    chunk = max(1, min(m, DRAW_CHUNK // max(M, 1)))
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
         db = sh * rng.standard_normal((hi - lo, M))

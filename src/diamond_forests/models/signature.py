@@ -140,12 +140,14 @@ class SigExpr:
     def evaluate(
         self, dt: float, word_values: Optional[Mapping[str, float]] = None
     ) -> float:
-        """Numeric value given (T-t) and the time-t iterated-integral values.
+        """Numeric value given (T-t) >= 0 and the time-t iterated-integral values.
 
         ``word_values`` may be omitted for conditioning at time 0, where every
         iterated integral vanishes (terms carrying any word drop out).
         """
         require_finite(dt=dt)
+        if dt < 0:
+            raise DomainError(f"time to horizon dt must be >= 0, got {dt}")
         values = word_values or {}
         total = 0.0
         for (words, p), c in self.terms:

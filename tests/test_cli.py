@@ -289,6 +289,19 @@ def test_mc_unknown_model_is_usage_error():
     assert cli.main(["mc", "--model", "Nope", "--paths", "200"]) == 2
 
 
+def test_mc_misspelt_parameter_is_usage_error(capsys):
+    argv = ["mc", "--model", "BMdrift", "--paths", "100", "--param", "muu=5"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "'muu'" in err and "mu, sigma" in err
+
+
+def test_signature_negative_time_to_horizon_is_domain_error(capsys):
+    argv = ["signature", "--left", "1", "--right", "1", "--mode", "strat", "--T", "-1"]
+    assert cli.main(argv) == 3
+    assert "dt must be >= 0" in capsys.readouterr().err
+
+
 def test_mc_unknown_column_is_usage_error(capsys):
     assert cli.main(["mc", "--model", "BMdrift", "--paths", "200", "--column", "Y"]) == 2
     assert "--column" in capsys.readouterr().err

@@ -43,6 +43,9 @@ def test_config_validation():
         SimConfig("BMdrift", {}, 1000, 1, 1.0, -3)
     with pytest.raises(ValueError):
         simulate(SimConfig("BESQ", {"x": 1.0}, 1000, 1, 1.0, 0))  # missing delta
+    for model, params in (("BMdrift", {"muu": 5.0}), ("LevyArea", {"mu": 1.0})):
+        with pytest.raises(ValueError, match="takes no parameter"):
+            SimConfig(model, params, 1000, 1, 1.0, 0)
 
 
 def test_bm_drift_matches_law():
@@ -54,14 +57,19 @@ def test_bm_drift_matches_law():
 
 
 def test_seed_determinism_and_batch_invariance(monkeypatch):
-    cfg = SimConfig("BMdrift", {}, 2 * BLOCK_PATHS + 123, 1, 1.0, seed=7)
-    monkeypatch.setenv("DIAMOND_FORESTS_THREADS", "1")
-    serial = simulate(cfg).column("X")
-    monkeypatch.setenv("DIAMOND_FORESTS_THREADS", "3")
-    threaded = simulate(cfg).column("X")
-    assert np.array_equal(serial, threaded)
-    other = simulate(SimConfig("BMdrift", {}, cfg.n_paths, 1, 1.0, seed=8))
-    assert not np.array_equal(serial, other.column("X"))
+    for model, params, steps, T in (
+        ("BMdrift", {}, 1, 1.0),
+        ("LevyArea", {}, 64, 1.0),
+        ("StoppedBM", {"start": 0.2}, 128, 8.0),
+    ):
+        cfg = SimConfig(model, params, 2 * BLOCK_PATHS + 123, steps, T, seed=7)
+        monkeypatch.setenv("DIAMOND_FORESTS_THREADS", "1")
+        serial = simulate(cfg).single_column()
+        monkeypatch.setenv("DIAMOND_FORESTS_THREADS", "3")
+        threaded = simulate(cfg).single_column()
+        assert np.array_equal(serial, threaded), model
+        other = simulate(SimConfig(model, params, cfg.n_paths, steps, T, seed=8))
+        assert not np.array_equal(serial, other.single_column()), model
 
 
 def test_thread_cap_is_clamped_to_cpu_count(monkeypatch):
@@ -89,6 +97,54 @@ def test_besq_zero_dimension_absorbs():
     assert np.all(x >= 0.0)
 
 
+def _euler_levy_area(n, T, rng, m):
+    """The n-step left-point Euler path loop: the cross-check for the sampler."""
+    sdt = math.sqrt(T / n)
+    x = np.zeros(m)
+    y = np.zeros(m)
+    a = np.zeros(m)
+    for _ in range(n):
+        z = rng.standard_normal((2, m))
+        dx = sdt * z[0]
+        dy = sdt * z[1]
+        a += x * dy - y * dx
+        x += dx
+        y += dy
+    return a
+
+
+@pytest.mark.parametrize("n", [4, 7, 256])
+def test_euler_area_matrix_eigenvalues_are_cotangents(n):
+    # the Euler area is dx' S dy with S_ij = sign(j - i); iS is Hermitian
+    i = np.arange(n)
+    S = np.sign(i[None, :] - i[:, None]).astype(float)
+    k = np.arange(1, n + 1)
+    want = np.sort(1.0 / np.tan((2 * k - 1) * math.pi / (2 * n)))
+    got = np.linalg.eigvalsh(1j * S)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    np.testing.assert_allclose(mc._levy_weights(n, float(n)), want[::-1][: n // 2], rtol=1e-14)
+
+
+@pytest.mark.parametrize("n", [7, 16])
+def test_levy_area_samplers_meet_the_exact_discrete_cumulants(n):
+    # Laplace has kappa_2j = 2 (2j-1)!, so kappa_2j(A) = 2 (2j-1)! sum_k s_k^2j
+    s = mc._levy_weights(n, 1.0)
+    want = {2: 2.0 * np.sum(s**2), 4: 12.0 * np.sum(s**4)}
+    assert want[2] == pytest.approx(1.0 - 1.0 / n, rel=1e-12)
+    exact = simulate(SimConfig("LevyArea", {}, 200_000, n, 1.0, seed=31)).column("A")
+    euler = _euler_levy_area(n, 1.0, np.random.Generator(np.random.Philox(key=[31, 0])), 200_000)
+    for sample in (exact, euler):
+        est = empirical_cumulants(sample, 4)
+        for order in (2, 4):
+            e = est[order - 1]
+            assert abs(e.value - want[order]) <= 3 * e.std_error
+
+
+def test_one_step_levy_area_is_zero():
+    a = simulate(SimConfig("LevyArea", {}, 1000, 1, 1.0, seed=4)).column("A")
+    assert not a.any()
+
+
 def test_levy_area_variance_with_euler_bias():
     # left-point Euler gives Var = T^2 (1 - 1/n) exactly; refinement halves the gap
     k2 = {}
@@ -109,6 +165,12 @@ def test_stopped_bm_matches_exact_cgf():
         w = np.exp(u * x)
         se_log = w.std(ddof=1) / math.sqrt(w.size) / w.mean()
         assert abs(math.log(w.mean()) - stopped_bm_cgf(0.2, u)) <= 3 * se_log
+
+
+@pytest.mark.parametrize("start", [1.0, -1.0])
+def test_stopped_bm_started_on_a_barrier_stays_there(start):
+    cfg = SimConfig("StoppedBM", {"start": start}, 100_000, 128, 8.0, seed=3)
+    assert np.all(simulate(cfg).column("X") == start)
 
 
 def test_heston_mgf_cross_consistency():
@@ -164,15 +226,18 @@ def test_chaos2_simulator_matches_recursion():
         assert abs(e.value - kappas[e.order - 1]) <= 3.5 * max(e.std_error, 1e-12)
 
 
-def test_chaos2_samples_do_not_depend_on_the_chunk_size(monkeypatch):
+def test_samples_do_not_depend_on_the_chunk_size(monkeypatch):
     F = kernel_from_function(lambda s, u: 1.0 + 0.5 * s * u, 1.0, 16)
-    cfg = SimConfig("Chaos2", {"kernel": F.kernel}, 5000, 16, 1.0, seed=3)
-    x = simulate(cfg).columns["X"]
-    for chunk in (1, 16 * 7, 1 << 21):
-        monkeypatch.setattr(mc, "CHAOS2_CHUNK", chunk)
-        # same normals in the same order; a one-row chunk may round differently
-        gap = np.max(np.abs(simulate(cfg).columns["X"] - x))
-        assert gap <= 1e-15 * np.max(np.abs(x))
+    default = mc.DRAW_CHUNK
+    for model, params in (("Chaos2", {"kernel": F.kernel}), ("LevyArea", {})):
+        cfg = SimConfig(model, params, 5000, 16, 1.0, seed=3)
+        monkeypatch.setattr(mc, "DRAW_CHUNK", default)
+        x = simulate(cfg).single_column()
+        for chunk in (1, 16 * 7, 1 << 21):
+            monkeypatch.setattr(mc, "DRAW_CHUNK", chunk)
+            # same draws in the same order; a one-row chunk may round differently
+            gap = np.max(np.abs(simulate(cfg).single_column() - x))
+            assert gap <= 1e-15 * np.max(np.abs(x)), (model, chunk)
 
 
 def test_chaos2_kernel_validation():
