@@ -37,7 +37,9 @@ from .errors import DomainError
 from .expansions import g_expansion, k_expansion, spx_g_expansion, specialize
 from .mc import (
     MAX_CUMULANT_ORDER,
+    MAX_PATHS,
     MIN_PATHS,
+    MODEL_PARAMS,
     SimConfig,
     empirical_cumulants,
     empirical_mgf,
@@ -387,9 +389,14 @@ def cmd_mc(args) -> dict:
         except ValueError as exc:
             raise UsageError(f"--param {spec!r}: value must be numeric") from exc
     if args.kernel is not None:
+        readers = [name for name, names in MODEL_PARAMS.items() if "kernel" in names]
+        if args.model in MODEL_PARAMS and args.model not in readers:
+            raise UsageError(
+                f"--kernel is read only by model {', '.join(readers)}, not {args.model}"
+            )
         params["kernel"] = read_kernel_csv(args.kernel, args.T).kernel
     steps = _flag("steps", args.steps, 1, "the simulation")
-    paths = _flag("paths", args.paths, MIN_PATHS, "the simulation")
+    paths = _flag("paths", args.paths, MIN_PATHS, "the simulation", MAX_PATHS)
     max_order = _flag(
         "max-order", args.max_order, 1, "the cumulant estimates", MAX_CUMULANT_ORDER
     )
@@ -444,7 +451,7 @@ def cmd_verify(args) -> Tuple[dict, int]:
         optional = takes["paths"].default == 0
         if not (optional and args.paths == 0):
             purpose = "the Monte Carlo check" + (" (0 skips it)" if optional else "")
-            _flag("paths", args.paths, MIN_PATHS, purpose)
+            _flag("paths", args.paths, MIN_PATHS, purpose, MAX_PATHS)
     report = run_suite(args.suite, **kwargs)
     return report.to_dict(), (0 if report.passed else 1)
 

@@ -10,9 +10,14 @@ walking the path.  The n-step left-point Euler Levy area is dx' S dy with S
 the antisymmetric +-1 Toeplitz matrix, whose eigenvalues are
 +-i cot((2k-1) pi / 2n); so it equals (T/n) sum_k cot((2k-1) pi / 2n) L_k in
 law, k = 1..floor(n/2), with L_k iid standard Laplace (the discrete form of
-P. Levy's eigen-expansion of the area, Berkeley Symp. 1951).  The stopped
-Brownian motion walks its bridge-corrected Euler path, but draws and tests
-only the paths still alive.
+P. Levy's eigen-expansion of the area, Berkeley Symp. 1951).  The Euler
+Heston scheme draws only the increments dw of its variance and takes the
+log-price from its exact conditional law given the variance path,
+N(-QV/2 + rho M, rho_perp^2 QV): n + 1 normals per path instead of 2n (the
+mixing argument of Romano and Touzi, Math. Finance 1997, and Willard,
+J. Derivatives 1997, applied to the discrete scheme).  The stopped Brownian
+motion walks its bridge-corrected Euler path, but draws and tests only the
+paths still alive.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .errors import DomainError, require_finite
 __all__ = [
     "BLOCK_PATHS",
     "MIN_PATHS",
+    "MAX_PATHS",
     "MAX_CUMULANT_ORDER",
     "THREADS_ENV",
     "MODELS",
@@ -50,6 +56,8 @@ BLOCK_PATHS = 1 << 16
 # peak RSS of a run depended on how the workers' frees interleaved.
 DRAW_CHUNK = 1 << 16
 MIN_PATHS = 100
+# 256 blocks: Heston's three float64 columns then take 384 MiB
+MAX_PATHS = 1 << 24
 MAX_CUMULANT_ORDER = 6
 THREADS_ENV = "DIAMOND_FORESTS_THREADS"
 # each model and the parameter names it reads; any other name is refused
@@ -85,8 +93,8 @@ class SimConfig:
                 f"model {self.model} takes no parameter {', '.join(map(repr, unknown))}; "
                 f"it reads {allowed}"
             )
-        if self.n_paths < MIN_PATHS:
-            raise ValueError(f"n_paths must be >= {MIN_PATHS}")
+        if not MIN_PATHS <= self.n_paths <= MAX_PATHS:
+            raise ValueError(f"n_paths must lie in [{MIN_PATHS}, {MAX_PATHS}]")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         require_finite(horizon=self.horizon)
@@ -212,6 +220,16 @@ def _sim_besq(cfg: SimConfig, rng: np.random.Generator, m: int) -> Dict[str, np.
 
 
 def _sim_heston(cfg: SimConfig, rng: np.random.Generator, m: int) -> Dict[str, np.ndarray]:
+    """Euler Heston: log-price X, quadratic variation QV and the swap value zeta,
+    sampled from the exact law of the two-normal Euler scheme.
+
+    The scheme steps v by the increment dw and X by db = rho dw + rho_perp sqrt(dt) z.
+    v, QV and zeta depend on dw alone, and given them the z part of X is
+    rho_perp sum_k sqrt(v_k+) sqrt(dt) z_k ~ N(0, rho_perp^2 QV).  So the loop
+    draws only dw (one normal per path and step), accumulates QV and
+    M = sum_k sqrt(v_k+) dw_k, and after the loop sets
+    X = -QV/2 + rho M + rho_perp sqrt(QV) Z with one more normal Z per path.
+    """
     xi0 = cfg.param("xi0")
     nu = cfg.param("nu")
     lam = cfg.param("lam")
@@ -226,17 +244,16 @@ def _sim_heston(cfg: SimConfig, rng: np.random.Generator, m: int) -> Dict[str, n
     sdt = math.sqrt(dt)
     rho_perp = math.sqrt(max(0.0, 1.0 - rho * rho))
     v = np.full(m, xi0)
-    x = np.zeros(m)
     qv = np.zeros(m)
+    mart = np.zeros(m)
     for _ in range(n):
-        z = rng.standard_normal((2, m))
-        dw = sdt * z[0]
-        db = rho * dw + rho_perp * sdt * z[1]
+        dw = sdt * rng.standard_normal(m)
         vp = np.maximum(v, 0.0)
         sv = np.sqrt(vp)
-        x += -0.5 * vp * dt + sv * db
+        mart += sv * dw
         qv += vp * dt
         v += lam * (xi0 - vp) * dt + nu * sv * dw
+    x = -0.5 * qv + rho * mart + rho_perp * np.sqrt(qv) * rng.standard_normal(m)
     vT = np.maximum(v, 0.0)
     # forward variance after the horizon reverts exponentially toward xi0,
     # so the length-`window` swap value is an affine function of terminal v
@@ -420,6 +437,12 @@ def empirical_cumulants(
     *Tensor Methods in Statistics*, ch. 4): SE_r^2 = g_r' S g_r / n, with g_r
     the gradient of kappa_r in the raw moments mu_1..mu_r of the centred
     sample and S_ij = mu_{i+j} - mu_i mu_j, so it needs moments up to 2r.
+
+    That standard error is estimated from the same sample, so on heavy tails
+    it is small exactly when the plug-in cumulant is low, and a 5-SE gate on
+    order 6 fails on correct samples: the 128-step Levy area on 131 072 paths,
+    against its exact kappa_6 = 2 * 5! * sum_k s_k^6 (``_levy_weights``), read
+    |z| > 5 about once in 500-600 seeded samples, worst z = -6.0.
     """
     if not 1 <= max_order <= MAX_CUMULANT_ORDER:
         raise ValueError(f"max_order must be between 1 and {MAX_CUMULANT_ORDER}")

@@ -15,6 +15,7 @@ import jsonschema
 import pytest
 
 from diamond_forests import cli
+from diamond_forests.mc import MAX_PATHS
 from diamond_forests.verification import Check, SuiteReport
 
 
@@ -430,6 +431,28 @@ def test_non_finite_inputs_are_refused(argv, name, capsys):
 def test_chaos2_simulation_without_a_kernel_names_the_flag(capsys):
     assert cli.main(["mc", "--model", "Chaos2", "--paths", "100"]) == 2
     assert "--kernel" in capsys.readouterr().err
+
+
+def test_kernel_for_a_model_that_reads_none_names_the_flag(tmp_path, capsys):
+    # refused before the file is opened: a missing file gives the same answer
+    argv = ["mc", "--model", "BMdrift", "--paths", "100", "--kernel", str(tmp_path / "k.csv")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--kernel" in err and "'kernel'" not in err and "cannot read" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc", "--model", "BMdrift", "--paths", str(MAX_PATHS + 1)],
+        ["verify", "mc-cross", "--paths", str(MAX_PATHS + 1)],
+    ],
+    ids=["mc", "verify-mc-cross"],
+)
+def test_paths_above_the_cap_name_the_flag(argv, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--paths" in err and str(MAX_PATHS) in err and "n_paths" not in err
 
 
 @pytest.mark.parametrize("grid", ["0", "-3"])

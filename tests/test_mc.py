@@ -35,6 +35,9 @@ def test_config_validation():
         SimConfig("Banana", {}, 1000, 1, 1.0, 0)
     with pytest.raises(ValueError):
         SimConfig("BMdrift", {}, 50, 1, 1.0, 0)
+    SimConfig("BMdrift", {}, mc.MAX_PATHS, 1, 1.0, 0)
+    with pytest.raises(ValueError, match="n_paths"):
+        SimConfig("BMdrift", {}, mc.MAX_PATHS + 1, 1, 1.0, 0)
     with pytest.raises(ValueError):
         SimConfig("BMdrift", {}, 1000, 0, 1.0, 0)
     with pytest.raises(ValueError):
@@ -56,20 +59,26 @@ def test_bm_drift_matches_law():
         assert abs(e.value - truth[e.order]) <= 3 * e.std_error
 
 
+HESTON = {"xi0": 0.04, "nu": 0.3, "lam": 1.0, "rho": -0.7}
+
+
 def test_seed_determinism_and_batch_invariance(monkeypatch):
     for model, params, steps, T in (
         ("BMdrift", {}, 1, 1.0),
         ("LevyArea", {}, 64, 1.0),
         ("StoppedBM", {"start": 0.2}, 128, 8.0),
+        ("Heston", HESTON, 16, 1.0),
     ):
         cfg = SimConfig(model, params, 2 * BLOCK_PATHS + 123, steps, T, seed=7)
         monkeypatch.setenv("DIAMOND_FORESTS_THREADS", "1")
-        serial = simulate(cfg).single_column()
+        serial = simulate(cfg).columns
         monkeypatch.setenv("DIAMOND_FORESTS_THREADS", "3")
-        threaded = simulate(cfg).single_column()
-        assert np.array_equal(serial, threaded), model
-        other = simulate(SimConfig(model, params, cfg.n_paths, steps, T, seed=8))
-        assert not np.array_equal(serial, other.single_column()), model
+        threaded = simulate(cfg).columns
+        for name in serial:
+            assert np.array_equal(serial[name], threaded[name]), (model, name)
+        other = simulate(SimConfig(model, params, cfg.n_paths, steps, T, seed=8)).columns
+        for name in serial:
+            assert not np.array_equal(serial[name], other[name]), (model, name)
 
 
 def test_thread_cap_is_clamped_to_cpu_count(monkeypatch):
@@ -215,6 +224,101 @@ def test_heston_zeta_channel_cross_consistency():
     assert abs(math.log(est.value) - mv) <= 3 * se_log
 
 
+def _euler_heston(cfg, rng, m):
+    """The two-normal Euler loop, db = rho dw + rho_perp sqrt(dt) z drawn at
+    every step: the cross-check for the sampler's conditional draw of X."""
+    xi0, nu, lam, rho = (cfg.param(k) for k in ("xi0", "nu", "lam", "rho"))
+    window = cfg.param("window", 0.1)
+    dt = cfg.horizon / cfg.n_steps
+    sdt = math.sqrt(dt)
+    rho_perp = math.sqrt(max(0.0, 1.0 - rho * rho))
+    v = np.full(m, xi0)
+    x = np.zeros(m)
+    qv = np.zeros(m)
+    for _ in range(cfg.n_steps):
+        z = rng.standard_normal((2, m))
+        dw = sdt * z[0]
+        db = rho * dw + rho_perp * sdt * z[1]
+        vp = np.maximum(v, 0.0)
+        sv = np.sqrt(vp)
+        x += -0.5 * vp * dt + sv * db
+        qv += vp * dt
+        v += lam * (xi0 - vp) * dt + nu * sv * dw
+    vT = np.maximum(v, 0.0)
+    zeta = xi0 * window + (vT - xi0) * (1.0 - math.exp(-lam * window)) / lam
+    return {"X": x, "QV": qv, "zeta": zeta}
+
+
+class _SharedIncrements:
+    """A generator stub that hands both Heston samplers the same variance
+    increments: row k is the first normal of step k, and every other normal (the
+    loop's second normal, the sampler's final Z) is zero."""
+
+    def __init__(self, rows):
+        self.rows = iter(rows)
+
+    def standard_normal(self, size):
+        if isinstance(size, tuple):
+            return np.stack([next(self.rows), np.zeros(size[1])])
+        return next(self.rows, np.zeros(size))
+
+
+HESTON_CASES = {
+    "base": HESTON,
+    "rho=+1": dict(HESTON, rho=1.0),
+    "rho=-1": dict(HESTON, rho=-1.0),
+    "nu=0": dict(HESTON, nu=0.0),
+    "xi0=0": dict(HESTON, xi0=0.0),
+}
+
+
+@pytest.mark.parametrize(
+    "params",
+    [*HESTON_CASES.values(), dict(HESTON, nu=1.5)],
+    ids=[*HESTON_CASES, "v<0 truncated"],
+)
+def test_heston_sampler_shares_the_euler_variance_path(params):
+    # v_T enters the output only through zeta, an affine function of it
+    n, m = 128, 1000
+    cfg = SimConfig("Heston", params, m, n, 1.0, seed=0)
+    rows = np.random.Generator(np.random.Philox(key=[5, 0])).standard_normal((n, m))
+    euler = _euler_heston(cfg, _SharedIncrements(rows), m)
+    sampled = mc._sim_heston(cfg, _SharedIncrements(rows), m)
+    assert np.array_equal(sampled["QV"], euler["QV"])
+    assert np.array_equal(sampled["zeta"], euler["zeta"])
+    # with the second normal at zero, X is its conditional mean -QV/2 + rho M
+    np.testing.assert_allclose(sampled["X"], euler["X"], rtol=0.0, atol=1e-12)
+
+
+def _joint_cumulants(columns):
+    """(value, standard error) of kappa_1..4 of X, then of the cross cumulants
+    kappa_11 and kappa_21 of (X, QV), each with the standard error of its
+    influence function (the centring enters kappa_21 at first order)."""
+    x, q = columns["X"], columns["QV"]
+    dx = x - x.mean()
+    dq = q - q.mean()
+    k11 = float(np.mean(dx * dq))
+    k21 = float(np.mean(dx * dx * dq))
+    influence = ((k11, dx * dq), (k21, dx * dx * dq - 2.0 * k11 * dx - np.mean(dx * dx) * dq))
+    return [(e.value, e.std_error) for e in empirical_cumulants(x, 4)] + [
+        (k, float(f.std(ddof=1)) / math.sqrt(x.size)) for k, f in influence
+    ]
+
+
+@pytest.mark.parametrize("n", [8, 128])
+@pytest.mark.parametrize("params", HESTON_CASES.values(), ids=HESTON_CASES)
+def test_heston_sampler_meets_the_euler_joint_law(params, n):
+    # independent streams: the sampler takes block 0 of seed 23, the loop block 1
+    m = BLOCK_PATHS // 2
+    cfg = SimConfig("Heston", params, m, n, 1.0, seed=23)
+    sampled = _joint_cumulants(simulate(cfg).columns)
+    euler = _joint_cumulants(
+        _euler_heston(cfg, np.random.Generator(np.random.Philox(key=[23, 1])), m)
+    )
+    for (got, se_got), (want, se_want) in zip(sampled, euler):
+        assert abs(got - want) <= 3.0 * math.hypot(se_got, se_want)
+
+
 def test_chaos2_simulator_matches_recursion():
     F = kernel_from_function(
         lambda s, u: 1.0 + 0.3 * np.cos(np.pi * s) * np.cos(2 * np.pi * u), 1.0, 64
@@ -229,15 +333,16 @@ def test_chaos2_simulator_matches_recursion():
 def test_samples_do_not_depend_on_the_chunk_size(monkeypatch):
     F = kernel_from_function(lambda s, u: 1.0 + 0.5 * s * u, 1.0, 16)
     default = mc.DRAW_CHUNK
-    for model, params in (("Chaos2", {"kernel": F.kernel}), ("LevyArea", {})):
+    for model, params in (("Chaos2", {"kernel": F.kernel}), ("LevyArea", {}), ("Heston", HESTON)):
         cfg = SimConfig(model, params, 5000, 16, 1.0, seed=3)
         monkeypatch.setattr(mc, "DRAW_CHUNK", default)
-        x = simulate(cfg).single_column()
+        columns = simulate(cfg).columns
         for chunk in (1, 16 * 7, 1 << 21):
             monkeypatch.setattr(mc, "DRAW_CHUNK", chunk)
-            # same draws in the same order; a one-row chunk may round differently
-            gap = np.max(np.abs(simulate(cfg).single_column() - x))
-            assert gap <= 1e-15 * np.max(np.abs(x)), (model, chunk)
+            for name, x in simulate(cfg).columns.items():
+                # same draws in the same order; a one-row chunk may round differently
+                gap = np.max(np.abs(x - columns[name]))
+                assert gap <= 1e-15 * np.max(np.abs(x)), (model, chunk, name)
 
 
 def test_chaos2_kernel_validation():
