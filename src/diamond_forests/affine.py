@@ -48,7 +48,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .algebra import Forest, Tree
-from .errors import DomainError, require_finite
+from .errors import MAX_STEPS, MIN_STEPS, DomainError, require_finite
 from .expansions import _spx_seed, cumulant_states
 
 __all__ = [
@@ -70,8 +70,6 @@ __all__ = [
 ]
 
 GROWTH_BOUND = 1.0e3
-MIN_STEPS = 8  # fewest grid steps ``solve_riccati`` takes
-MAX_STEPS = 65536  # most; at the cap the march and its half-resolution check take about 0.2 s
 _LEAF_STEPS = 16  # march blocks this short are solved by a scalar loop
 _FFT_STEPS = 128  # finished halves this long reach the next half by FFT
 

@@ -186,18 +186,38 @@ class Poly:
     def substitute(self, bindings: Mapping[str, "PolyLike"]) -> "Poly":
         """Replace symbols by polynomials (or rationals); exact.
 
-        Symbols absent from ``bindings`` are left untouched.
+        Symbols absent from ``bindings`` are left untouched.  Substitution is
+        simultaneous (``{"a": b, "b": a}`` swaps) and runs in one pass:
+        constant bindings fold into each term's coefficient, powers of
+        polynomial bindings are built once, and every term lands in one dict.
         """
-        out = Poly.zero_
+        polys = {sym: as_poly(p) for sym, p in bindings.items()}
+        consts = {sym: p.constant_value() for sym, p in polys.items() if p.is_constant()}
+        powers: Dict[Tuple[str, int], Poly] = {}
+        out: Dict[Monomial, Fraction] = {}
         for m, c in self.terms:
-            term = Poly.const(c)
+            kept = []
+            factor: Optional[Poly] = None
             for sym, e in m:
-                if sym in bindings:
-                    term = term * (as_poly(bindings[sym]) ** e)
+                if sym in consts:
+                    c *= consts[sym] ** e
+                elif sym in polys:
+                    p = powers.get((sym, e))
+                    if p is None:
+                        p = powers[(sym, e)] = polys[sym] ** e
+                    factor = p if factor is None else factor * p
                 else:
-                    term = term * (Poly.symbol(sym) ** e)
-            out = out + term
-        return out
+                    kept.append((sym, e))
+            if not c:
+                continue
+            rest = tuple(kept)
+            if factor is None:
+                out[rest] = out.get(rest, 0) + c
+                continue
+            for m2, c2 in factor.terms:
+                mono = _mono_mul(rest, m2)
+                out[mono] = out.get(mono, 0) + c * c2
+        return Poly.from_dict(out)
 
     def evaluate(self, values: Mapping[str, float]) -> float:
         """Evaluate numerically; every symbol must be bound."""

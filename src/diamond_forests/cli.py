@@ -5,6 +5,11 @@ keys, so identical invocations produce byte-identical reports.  Exact rational
 quantities are serialized as "p/q" strings; floats use the shortest decimal
 that round-trips.  Exit codes: 0 success, 1 verify ran but a check failed,
 2 usage error, 3 numeric-domain error, 4 internal error (any other exception).
+
+The exact commands (``expand``, ``levy``, ``cameron-martin``, ``signature``
+and ``verify reorder|levy|cameron-martin``) start without numpy: the solver,
+the simulators and the numeric models are imported inside the commands that
+call them (``bessel``, ``chaos2``, ``riccati``, ``mc`` and the other suites).
 """
 
 from __future__ import annotations
@@ -19,39 +24,18 @@ import sys
 import traceback
 from dataclasses import asdict
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .affine import (
-    MAX_STEPS,
-    MIN_STEPS,
-    ForwardVarianceCurve,
-    KernelSpec,
-    mgf_value,
-    riccati_residual,
-    solve_riccati,
-)
 from .algebra import Tree, format_fraction, parse_poly
-from .errors import DomainError
-from .expansions import g_expansion, k_expansion, spx_g_expansion, specialize
-from .mc import (
+from .errors import (
     MAX_CUMULANT_ORDER,
     MAX_PATHS,
+    MAX_STEPS,
     MIN_PATHS,
-    MODEL_PARAMS,
-    SimConfig,
-    empirical_cumulants,
-    empirical_mgf,
-    simulate,
+    MIN_STEPS,
+    DomainError,
 )
-from .models.bessel import bessel_laplace, bessel_laplace_series
-from .models.chaos2 import (
-    Chaos2State,
-    chaos2_cumulants,
-    constant_kernel,
-    eigenvalue_cumulants,
-)
+from .expansions import g_expansion, k_expansion, spx_g_expansion, specialize
 from .models.levy import levy_alpha, levy_cgf
 from .models.signature import (
     cameron_martin_cgf,
@@ -62,6 +46,10 @@ from .models.signature import (
     fawcett_sigma,
 )
 from .verification import SUITES, run_suite
+
+if TYPE_CHECKING:
+    from .affine import ForwardVarianceCurve
+    from .models.chaos2 import Chaos2State
 
 SCHEMA_ID = "diamond-forests/1"
 
@@ -79,9 +67,11 @@ def _jsonable(value):
         return format_fraction(value)
     if isinstance(value, Tree):
         return value.diamond_text()
-    if isinstance(value, np.generic):
+    # a numpy value exists only once a command has imported numpy
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, np.generic):
         return _jsonable(value.item())
-    if isinstance(value, np.ndarray):
+    if np is not None and isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
@@ -199,6 +189,10 @@ def _read_csv_rows(path: str, what: str, names: Tuple[str, ...]) -> List[List[fl
 
 def read_kernel_csv(path: str, T: float) -> Chaos2State:
     """Rows (w, v, f(w, v)) sampled at the left points of a uniform grid."""
+    import numpy as np
+
+    from .models.chaos2 import Chaos2State
+
     triples = _read_csv_rows(path, "kernel", ("w", "v", "value"))
     coords = sorted({w for w, _, _ in triples} | {v for _, v, _ in triples})
     M = len(coords)
@@ -227,6 +221,8 @@ def read_kernel_csv(path: str, T: float) -> Chaos2State:
 
 def read_curve_csv(path: str) -> ForwardVarianceCurve:
     """Rows (u, forward variance at u)."""
+    from .affine import ForwardVarianceCurve
+
     rows = _read_csv_rows(path, "curve", ("u", "xi"))
     times = [u for u, _ in rows]
     values = [xi for _, xi in rows]
@@ -297,6 +293,8 @@ def cmd_cameron_martin(args) -> dict:
 
 
 def cmd_bessel(args) -> dict:
+    from .models.bessel import bessel_laplace, bessel_laplace_series
+
     closed = bessel_laplace(args.x, args.delta, args.lam, args.T)
     series = bessel_laplace_series(args.x, args.delta, args.lam, args.T, args.order)
     return {
@@ -307,6 +305,8 @@ def cmd_bessel(args) -> dict:
 
 
 def cmd_chaos2(args) -> dict:
+    from .models.chaos2 import chaos2_cumulants, constant_kernel, eigenvalue_cumulants
+
     if (args.kernel is None) == (args.flat is None):
         raise UsageError("provide exactly one of --kernel FILE or --flat VALUE")
     if args.kernel is not None:
@@ -355,6 +355,14 @@ def _flag(
 
 
 def cmd_riccati(args) -> dict:
+    from .affine import (
+        ForwardVarianceCurve,
+        KernelSpec,
+        mgf_value,
+        riccati_residual,
+        solve_riccati,
+    )
+
     if args.kernel == "exp":
         if args.lam is None:
             raise UsageError("exponential kernel needs --lambda")
@@ -379,6 +387,8 @@ def cmd_riccati(args) -> dict:
 
 
 def cmd_mc(args) -> dict:
+    from .mc import MODEL_PARAMS, SimConfig, empirical_cumulants, empirical_mgf, simulate
+
     params: Dict[str, object] = {}
     for spec in args.param or []:
         if "=" not in spec:
@@ -594,8 +604,6 @@ def _resolved_config(args) -> dict:
     cfg = {}
     for key, val in sorted(vars(args).items()):
         if key in _CONFIG_SKIP or val is None:
-            continue
-        if isinstance(val, np.ndarray):
             continue
         cfg[key.replace("_", "-")] = val
     return cfg

@@ -1,12 +1,23 @@
-"""Shared exception types.
+"""Shared exception types and integer input bounds.
 
 ``DomainError`` marks numeric-domain violations (outside a convergence
 domain, a Riccati solution that blows up, invalid model parameters) as
 opposed to usage errors; the CLI maps it to exit code 3.  ``require_finite``
 is the shared refusal of non-finite inputs, a usage error (exit code 2).
+
+The bounds on grid steps, path counts and cumulant orders live here, free of
+numpy, so the command line can check its flags without loading the numeric
+stack; :mod:`.affine` and :mod:`.mc` re-export them under the same names.
 """
 
 import math
+
+MIN_STEPS = 8  # fewest grid steps ``solve_riccati`` takes
+MAX_STEPS = 65536  # most; at the cap the march and its half-resolution check take about 0.2 s
+MIN_PATHS = 100
+# 256 blocks of 2^16 paths: Heston's three float64 columns then take 384 MiB
+MAX_PATHS = 1 << 24
+MAX_CUMULANT_ORDER = 6
 
 
 class DomainError(ValueError):

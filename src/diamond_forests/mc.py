@@ -31,7 +31,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, require_finite
+from .errors import MAX_CUMULANT_ORDER, MAX_PATHS, MIN_PATHS, DomainError, require_finite
 
 __all__ = [
     "BLOCK_PATHS",
@@ -55,10 +55,6 @@ BLOCK_PATHS = 1 << 16
 # Chunks of 16 MiB left tens of MiB in a worker thread's malloc arena, so the
 # peak RSS of a run depended on how the workers' frees interleaved.
 DRAW_CHUNK = 1 << 16
-MIN_PATHS = 100
-# 256 blocks: Heston's three float64 columns then take 384 MiB
-MAX_PATHS = 1 << 24
-MAX_CUMULANT_ORDER = 6
 THREADS_ENV = "DIAMOND_FORESTS_THREADS"
 # each model and the parameter names it reads; any other name is refused
 MODEL_PARAMS = {

@@ -11,59 +11,46 @@ grid-discretized states instead of formal trees:
   expected-signature coefficients, and the squared-integral CGF recursion.
 * :mod:`.bessel` — squared Bessel processes via backward Gamma functions.
 * :mod:`.chaos2` — second Wiener chaos kernels on a simplex grid.
+
+The names below are resolved on first access (PEP 562), so importing one
+submodule loads neither the others nor numpy, which only :mod:`.bessel` and
+:mod:`.chaos2` need.
 """
 
-from .brownian import brownian_drift_cumulants, stopped_bm_cgf
-from .levy import LevyState, levy_alpha, levy_cgf, levy_cumulant_states, levy_state_value
-from .signature import (
-    SigExpr,
-    cameron_martin_cgf_coeffs,
-    cameron_martin_q,
-    diamond_ito,
-    diamond_strat,
-    fawcett_sigma,
-    shuffle,
-)
-from .bessel import (
-    BesselGamma,
-    bessel_gamma,
-    bessel_laplace,
-    bessel_laplace_series,
-    psi_series,
-)
-from .chaos2 import (
-    Chaos2State,
-    chaos2_cumulants,
-    chaos2_diamond,
-    constant_kernel,
-    eigenvalue_cumulants,
-    kernel_from_function,
-)
+from importlib import import_module
 
-__all__ = [
-    "brownian_drift_cumulants",
-    "stopped_bm_cgf",
-    "LevyState",
-    "levy_alpha",
-    "levy_cgf",
-    "levy_cumulant_states",
-    "levy_state_value",
-    "SigExpr",
-    "cameron_martin_cgf_coeffs",
-    "cameron_martin_q",
-    "diamond_ito",
-    "diamond_strat",
-    "fawcett_sigma",
-    "shuffle",
-    "BesselGamma",
-    "bessel_gamma",
-    "bessel_laplace",
-    "bessel_laplace_series",
-    "psi_series",
-    "Chaos2State",
-    "chaos2_cumulants",
-    "chaos2_diamond",
-    "constant_kernel",
-    "eigenvalue_cumulants",
-    "kernel_from_function",
-]
+# each public name and the submodule that defines it
+_SUBMODULE = {
+    "brownian_drift_cumulants": "brownian",
+    "stopped_bm_cgf": "brownian",
+    "LevyState": "levy",
+    "levy_alpha": "levy",
+    "levy_cgf": "levy",
+    "levy_cumulant_states": "levy",
+    "levy_state_value": "levy",
+    "SigExpr": "signature",
+    "cameron_martin_cgf_coeffs": "signature",
+    "cameron_martin_q": "signature",
+    "diamond_ito": "signature",
+    "diamond_strat": "signature",
+    "fawcett_sigma": "signature",
+    "shuffle": "signature",
+    "BesselGamma": "bessel",
+    "bessel_gamma": "bessel",
+    "bessel_laplace": "bessel",
+    "bessel_laplace_series": "bessel",
+    "psi_series": "bessel",
+    "Chaos2State": "chaos2",
+    "chaos2_cumulants": "chaos2",
+    "constant_kernel": "chaos2",
+    "eigenvalue_cumulants": "chaos2",
+    "kernel_from_function": "chaos2",
+}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_SUBMODULE[name]}", __name__), name)

@@ -32,7 +32,6 @@ from ..expansions import cumulant_states
 
 __all__ = [
     "Chaos2State",
-    "chaos2_diamond",
     "chaos2_cumulants",
     "eigenvalue_cumulants",
     "constant_kernel",
@@ -87,7 +86,19 @@ class Chaos2State:
         return Chaos2State(kernel=self.kernel * float(q), scalar=self.scalar * float(q), T=self.T)
 
     def diamond(self, other: "Chaos2State") -> "Chaos2State":
-        return chaos2_diamond(self, other)
+        """Diamond of two chaos states on matching grids.
+
+        Kernel: the symmetrized one-variable contraction restricted to the
+        strict upper triangle; scalar: the full simplex inner product <f, g>
+        by left-point quadrature.
+        """
+        self._check_grid(other)
+        F, G = self.kernel, other.kernel
+        h = self.h
+        mixed = h * (F @ G.T + G @ F.T)
+        kernel = np.triu(mixed, 1)
+        scalar = float(h * h * np.sum(F * G))
+        return Chaos2State(kernel=kernel, scalar=scalar, T=self.T)
 
 
 def constant_kernel(T: float, M: int, value: float = 1.0) -> Chaos2State:
@@ -107,22 +118,6 @@ def kernel_from_function(
     k = np.where(W < V, fn(W, V), 0.0)
     k = np.triu(np.asarray(k, dtype=float), 1)
     return Chaos2State(kernel=k, scalar=0.0, T=T)
-
-
-def chaos2_diamond(s1: Chaos2State, s2: Chaos2State) -> Chaos2State:
-    """Diamond of two chaos states on matching grids.
-
-    Kernel: the symmetrized one-variable contraction restricted to the strict
-    upper triangle; scalar: the full simplex inner product <f, g> by
-    left-point quadrature.
-    """
-    s1._check_grid(s2)
-    F, G = s1.kernel, s2.kernel
-    h = s1.h
-    mixed = h * (F @ G.T + G @ F.T)
-    kernel = np.triu(mixed, 1)
-    scalar = float(h * h * np.sum(F * G))
-    return Chaos2State(kernel=kernel, scalar=scalar, T=s1.T)
 
 
 def chaos2_cumulants(f: Chaos2State, n_max: int) -> List[float]:

@@ -133,10 +133,6 @@ class SigExpr:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def scaling_weights(self) -> set:
-        """Brownian-scaling weight (doubled) of each term: sum |w| + dt-power."""
-        return {sum(len(w) for w in words) + p for (words, p), _ in self.terms}
-
     def evaluate(
         self, dt: float, word_values: Optional[Mapping[str, float]] = None
     ) -> float:

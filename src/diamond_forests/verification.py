@@ -4,6 +4,11 @@ Each suite compares an exact pipeline against an independent oracle (a Taylor
 recursion, a classical ODE, an eigenvalue identity, or Monte Carlo) and
 reports measured gaps next to their tolerances.  Exact rational checks carry
 tolerance 0.
+
+The exact suites (``reorder``, ``cameron-martin``, and ``levy`` without Monte
+Carlo) run on rational arithmetic alone; the numeric suites import numpy, the
+solver, the simulators and their models inside their own bodies, so running
+an exact suite never loads them.
 """
 
 from __future__ import annotations
@@ -13,28 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence
 
-import numpy as np
-
 from .algebra import catalan, join, leaf, parse_poly, wedderburn_etherington
-from .affine import (
-    ForwardVarianceCurve,
-    KernelSpec,
-    heston_ode_reference,
-    mgf_value,
-    riccati_residual,
-    solve_riccati,
-    tree_value,
-)
 from .expansions import g_expansion, k_expansion, reorder, specialize, spx_g_expansion
-from .mc import SimConfig, empirical_cumulants, empirical_mgf, simulate
-from .models.bessel import bessel_laplace, bessel_laplace_series
-from .models.brownian import stopped_bm_cgf
-from .models.chaos2 import (
-    chaos2_cumulants,
-    constant_kernel,
-    eigenvalue_cumulants,
-    kernel_from_function,
-)
 from .models.levy import levy_alpha, levy_cgf
 from .models.signature import cameron_martin_cgf_coeffs
 
@@ -184,6 +169,8 @@ def suite_levy(
     )
 
     if paths > 0:
+        from .mc import SimConfig, empirical_cumulants, simulate
+
         cfg = SimConfig("LevyArea", {}, paths, steps, 1.0, seed=seed)
         k2 = empirical_cumulants(simulate(cfg), 2)[1]
         # left-point Euler shrinks the variance by exactly 1/n_steps
@@ -227,6 +214,9 @@ def suite_bessel(
     seed: int = 7,
 ) -> SuiteReport:
     """Squared-radius Laplace transforms: series vs closed form, optional MC."""
+    from .mc import SimConfig, empirical_mgf, simulate
+    from .models.bessel import bessel_laplace, bessel_laplace_series
+
     checks: List[Check] = []
     worst = 0.0
     for lam in lams:
@@ -267,6 +257,15 @@ def suite_chaos2(
     seed: int = 0,
 ) -> SuiteReport:
     """Grid recursion vs Richardson limits and the eigenvalue oracle."""
+    import numpy as np
+
+    from .models.chaos2 import (
+        chaos2_cumulants,
+        constant_kernel,
+        eigenvalue_cumulants,
+        kernel_from_function,
+    )
+
     checks: List[Check] = []
     sizes = tuple(sizes)
     if len(sizes) != 3 or not all(2 * a == b for a, b in zip(sizes, sizes[1:])):
@@ -321,6 +320,17 @@ def suite_chaos2(
 
 def suite_heston_riccati(steps: int = 4096) -> SuiteReport:
     """Convolution solver vs the classical ODE, residuals, short-time slopes."""
+    import numpy as np
+
+    from .affine import (
+        ForwardVarianceCurve,
+        KernelSpec,
+        heston_ode_reference,
+        riccati_residual,
+        solve_riccati,
+        tree_value,
+    )
+
     checks: List[Check] = []
     kern = KernelSpec.exponential(nu=0.3, lam=1.0)
     sol = solve_riccati(kern, -0.7, 0.25, 0.1, 0.0, 0.1, horizon=1.0, n_steps=steps)
@@ -366,6 +376,12 @@ def suite_mc_cross(
     seed: int = 7, paths: int = 200_000, steps: int = 256
 ) -> SuiteReport:
     """Every simulator against its exact counterpart, in standard-error units."""
+    from .affine import ForwardVarianceCurve, KernelSpec, mgf_value, solve_riccati
+    from .mc import SimConfig, empirical_cumulants, empirical_mgf, simulate
+    from .models.bessel import bessel_laplace
+    from .models.brownian import stopped_bm_cgf
+    from .models.chaos2 import chaos2_cumulants, constant_kernel
+
     checks: List[Check] = []
 
     cfg = SimConfig("BMdrift", {"mu": 0.3, "sigma": 1.5}, paths, 1, 2.0, seed=seed)

@@ -14,6 +14,7 @@ from diamond_forests.algebra import (
     join,
     leaf,
     parse_fraction,
+    as_poly,
     parse_poly,
     wedderburn_etherington,
 )
@@ -234,6 +235,73 @@ monomials = st.dictionaries(symbols, st.integers(1, 4), max_size=3).map(
 @given(st.dictionaries(monomials, fracs, max_size=6).map(Poly.from_dict))
 def test_parse_poly_reads_what_poly_prints(p):
     assert parse_poly(str(p)) == p
+
+
+# --- substitution ----------------------------------------------------------------
+
+
+def _substitute_by_terms(p, bindings):
+    """Reference substitution: each term is built as its own ``Poly`` and added
+    to a running sum, the loop ``Poly.substitute`` ran before its single pass."""
+    out = Poly.zero_
+    for m, c in p.terms:
+        term = Poly.const(c)
+        for sym, e in m:
+            if sym in bindings:
+                term = term * (as_poly(bindings[sym]) ** e)
+            else:
+                term = term * (Poly.symbol(sym) ** e)
+        out = out + term
+    return out
+
+
+abc = st.sampled_from(["a", "b", "c"])
+
+
+def abc_polys(max_exponent, max_terms):
+    monos = st.dictionaries(abc, st.integers(1, max_exponent), max_size=3)
+    return st.dictionaries(
+        monos.map(lambda d: tuple(sorted(d.items()))), fracs, max_size=max_terms
+    ).map(Poly.from_dict)
+
+
+B = Poly.symbol("b")
+C = Poly.symbol("c")
+NAMED_BINDINGS = {
+    "constant": {"a": Fraction(-3, 2), "c": 2},
+    "zero": {"b": 0},
+    "constant-poly": {"a": Poly.const(Fraction(1, 3))},
+    "polynomial": {"a": B * C - 1, "c": B * B},
+    "self-referencing": {"b": B - A * Fraction(1, 2)},
+    "swapped": {"a": B, "b": A},
+    "partial": {"c": A + 1},
+    "cancelling": {"b": A * A * Fraction(-1, 2), "c": -A},
+}
+
+
+@pytest.mark.parametrize("name", NAMED_BINDINGS)
+@settings(max_examples=60)
+@given(abc_polys(3, 6))
+def test_substitute_matches_the_term_by_term_loop(name, p):
+    bindings = NAMED_BINDINGS[name]
+    assert p.substitute(bindings) == _substitute_by_terms(p, bindings)
+
+
+binding_values = st.one_of(st.integers(-3, 3), fracs, fracs.map(Poly.const), abc_polys(2, 3))
+
+
+@settings(max_examples=200)
+@given(abc_polys(3, 6), st.dictionaries(abc, binding_values, max_size=3))
+def test_substitute_matches_the_term_by_term_loop_on_random_bindings(p, bindings):
+    assert p.substitute(bindings) == _substitute_by_terms(p, bindings)
+
+
+def test_substitute_is_simultaneous():
+    p = parse_poly("a^2*b - 3*a + b")
+    assert p.substitute({"a": B, "b": A}) == parse_poly("b^2*a - 3*b + a")
+    assert p.substitute({"b": B - A * Fraction(1, 2)}) == parse_poly("a^2*b - 1/2*a^3 - 7/2*a + b")
+    # b + c + a^2/2 + a cancels term by term under b = -a^2/2, c = -a
+    assert parse_poly("b + c + a^2/2 + a").substitute(NAMED_BINDINGS["cancelling"]).is_zero()
 
 
 def test_fraction_wire_format():

@@ -8,7 +8,6 @@ import pytest
 from diamond_forests.models.chaos2 import (
     Chaos2State,
     chaos2_cumulants,
-    chaos2_diamond,
     constant_kernel,
     eigenvalue_cumulants,
     kernel_from_function,
@@ -51,10 +50,10 @@ def test_state_validation():
     a = constant_kernel(1.0, 8)
     b = constant_kernel(1.0, 16)
     with pytest.raises(ValueError):
-        chaos2_diamond(a, b)
+        a.diamond(b)
     c = constant_kernel(2.0, 8)
     with pytest.raises(ValueError):
-        chaos2_diamond(a, c)
+        a.diamond(c)
 
 
 @pytest.mark.parametrize("M", [0, -3])
@@ -67,7 +66,7 @@ def test_grid_below_one_point_is_refused(M):
 
 def test_zero_kernel_gives_zero_state():
     z = Chaos2State(kernel=np.zeros((16, 16)), scalar=0.0, T=1.0)
-    d = chaos2_diamond(z, z)
+    d = z.diamond(z)
     assert d.scalar == 0.0
     assert not d.kernel.any()
 
@@ -77,7 +76,7 @@ def test_constant_kernel_diamond_closed_form():
     # kernel is 2(1 - max(r, s)) up to the O(h) left-point offset
     T, M = 1.0, 256
     st = constant_kernel(T, M)
-    d = chaos2_diamond(st, st)
+    d = st.diamond(st)
     h = T / M
     assert d.scalar == pytest.approx(h * h * M * (M - 1) / 2, rel=1e-14)
     assert d.scalar == pytest.approx(0.5, abs=2 * h)

@@ -573,6 +573,51 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "False"
 
 
+# the commands that run on exact arithmetic alone, named as the cli-cold cells
+EXACT_COMMANDS = {
+    "expand-K": ["expand", "--kind", "K", "--order", "5"],
+    "expand-K-csv": ["expand", "--kind", "K", "--order", "5", "--output", "csv"],
+    "expand-G-bind": ["expand", "--kind", "G", "--order", "6", "--bind", "b=-1/2*a^2"],
+    "levy": ["levy", "--order", "20", "--T", "0.4"],
+    "cameron-martin": ["cameron-martin", "--order", "10", "--lam", "0.2"],
+    "signature": ["signature", "--left", "12", "--right", "1", "--T", "0.5"],
+    "verify-reorder": ["verify", "reorder", "--order", "6"],
+    "verify-levy": ["verify", "levy"],
+    "verify-cameron-martin": ["verify", "cameron-martin"],
+}
+
+
+def _loads_no_numpy(code):
+    proc = subprocess.run([sys.executable, "-c", f"{code}; assert 'numpy' not in sys.modules"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name", EXACT_COMMANDS)
+def test_exact_command_runs_without_numpy(name):
+    argv = EXACT_COMMANDS[name]
+    _loads_no_numpy(f"import sys; from diamond_forests import cli; assert cli.main({argv!r}) == 0")
+
+
+def test_models_and_verification_import_without_numpy():
+    _loads_no_numpy("import sys, diamond_forests.models, diamond_forests.verification")
+
+
+def test_models_names_resolve_to_their_submodules():
+    import importlib
+
+    from diamond_forests import models
+
+    for name in models.__all__:
+        home = importlib.import_module(f"diamond_forests.models.{models._SUBMODULE[name]}")
+        assert getattr(models, name) is getattr(home, name)
+        assert name in home.__all__
+    with pytest.raises(AttributeError, match="no_such_name"):
+        models.no_such_name
+    with pytest.raises(AttributeError):
+        models.chaos2_diamond
+
+
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "diamond_forests.cli",

@@ -94,6 +94,24 @@ def test_expand_output_is_pinned(kind, order, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--kind", "SPX", "--order", "7", "--bind", "a=1/2", "--bind", "c=a*b-2"],
+         "4f0da049e06a1b6618dbeb5d72620602457cfaafdd3f8694f7768f8b4b8bcd95"),
+        (["--kind", "G", "--order", "8", "--bind", "b=b-a/2", "--bind", "a=b"],
+         "eb52970cb55c2b72ad07f3321ce289c8525a8aba23bec88e4ead9ab4b82237d2"),
+    ],
+    ids=["constant-and-polynomial", "self-referencing-swap"],
+)
+def test_expand_bind_output_is_pinned(argv, digest):
+    # non-zero substituted forests, pinned from the term-by-term substitution
+    out, code = cli.run(["expand", *argv])
+    assert code == 0
+    assert '"all_zero": false' in out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 # --- K expansion ---------------------------------------------------------------
 
 

@@ -166,7 +166,8 @@ def test_ito_brownian_scaling():
     values = {w: 0.1 + 0.05 * k for k, w in enumerate(words_up_to(3))}
     for a, i, b, j in cases:
         expr = diamond_ito(a, i, b, j)
-        weights = expr.scaling_weights()
+        # doubled weight of a term: its word lengths plus its power of dt
+        weights = {sum(len(w) for w in words) + p for (words, p), _ in expr.terms}
         assert weights <= {len(a) + len(b) + 2}
         c = 1.7
         scaled = {w: v * c ** (len(w) / 2) for w, v in values.items()}
