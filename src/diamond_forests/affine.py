@@ -16,9 +16,9 @@ convolution), and joining two nodes multiplies out
 The join is bilinear in the loadings, so a whole order of the forests of
 ``spx_g_expansion`` collapses to one grid function: ``AffineState`` carries
 (z, h, w) for a linear combination of trees, and ``spx_exponent`` runs it
-through ``cumulant_states`` from the order-2 seed with the branches (X, a) and
-(zeta, c), which takes order - 2 convolutions and walks no tree.
-``tree_h`` / ``tree_value`` join one tree node by node and are its oracle.
+through ``cumulant_states`` from the same seeds as the forests (the linear
+state L = aX + c zeta at order 1), which takes order - 2 convolutions and
+walks no tree.  ``tree_value`` joins one tree node by node.
 
 The joint exponent  a X_t + c zeta_t(T) + integral xi_t(u) g(T-u) du  closes
 with g solving the convolution Riccati integral equation
@@ -43,22 +43,21 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from .algebra import Forest, Tree
 from .errors import MAX_STEPS, MIN_STEPS, DomainError, require_finite
-from .expansions import _spx_seed, cumulant_states
+from .expansions import _spx_seeds, cumulant_states, spx_g_expansion
 
 __all__ = [
     "KernelSpec",
     "ForwardVarianceCurve",
-    "HFunction",
     "RiccatiSolution",
     "kappa_bar",
     "kernel_convolve",
-    "tree_h",
     "tree_value",
     "solve_riccati",
     "riccati_residual",
@@ -259,27 +258,6 @@ def kernel_convolve(kernel: KernelSpec, values: np.ndarray, grid: np.ndarray) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HFunction:
-    """Samples of the convolution-form weight h on a uniform tau-grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if grid.shape != values.shape:
-            raise ValueError("grid/values shape mismatch")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("h must be finite on the grid")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-
-    def __call__(self, tau):
-        return np.interp(np.asarray(tau, dtype=float), self.grid, self.values)
-
-
 def _tree_grid(
     kernel: KernelSpec, delta: float, horizon: float, n_steps: int
 ) -> Tuple[np.ndarray, _Convolution, np.ndarray]:
@@ -369,28 +347,6 @@ def _tree_state(tree: Tree, leaves: Dict[str, AffineState]) -> AffineState:
     return leaves[tree.label]
 
 
-def tree_h(
-    tree: Tree,
-    kernel: KernelSpec,
-    rho: float,
-    delta: float,
-    horizon: float,
-    n_steps: int = 1024,
-) -> HFunction:
-    """Weight h with tree value = integral_t^T xi_t(u) h(T-u) du, tau = T-u.
-
-    Base pairs: (X <> X) -> 1, (X <> zeta) -> rho kappa_bar, (zeta <> zeta)
-    -> kappa_bar^2; an internal subtree enters through kappa * h_subtree.
-    The tree is walked node by node, so this is the single-tree oracle of
-    ``spx_exponent``.
-    """
-    grid, convolve, kbar = _tree_grid(kernel, delta, horizon, n_steps)
-    if tree.label is not None:
-        raise ValueError("a single leaf is not a diamond tree (needs >= 2 leaves)")
-    state = _tree_state(tree, _leaf_states(convolve, rho, kbar))
-    return HFunction(grid=grid, values=state.h)
-
-
 def tree_value(
     tree: Tree,
     kernel: KernelSpec,
@@ -401,12 +357,23 @@ def tree_value(
     T: float,
     n_steps: int = 1024,
 ) -> float:
-    """Quadrature of xi_t(u) h(T-u) over [t, T] on the h-grid (trapezoid)."""
+    """Value integral_t^T xi_t(u) h(T-u) du of one diamond tree, trapezoid on
+    the tau-grid of h.
+
+    Base pairs: (X <> X) -> 1, (X <> zeta) -> rho kappa_bar, (zeta <> zeta)
+    -> kappa_bar^2; an internal subtree enters through kappa * h_subtree.
+    The tree is walked node by node.  A single leaf is not a diamond tree,
+    and an h that is not finite on the grid raises ``DomainError``.
+    """
     if not T > t:
         raise ValueError("need t < T")
-    h = tree_h(tree, kernel, rho, delta, horizon=T - t, n_steps=n_steps)
-    xi = curve(T - h.grid)
-    return float(np.trapezoid(xi * h.values, h.grid))
+    grid, convolve, kbar = _tree_grid(kernel, delta, T - t, n_steps)
+    if tree.label is not None:
+        raise ValueError("a single leaf is not a diamond tree (needs >= 2 leaves)")
+    h = _tree_state(tree, _leaf_states(convolve, rho, kbar)).h
+    if not np.all(np.isfinite(h)):
+        raise DomainError("h must be finite on the grid")
+    return float(np.trapezoid(curve(T - grid) * h, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -744,12 +711,10 @@ def spx_exponent(
     ``spx_g_expansion`` at (a, b, c).
 
     The diamond is bilinear in the loadings, so every order is one
-    ``AffineState`` and ``cumulant_states`` runs them from the seed
-
-        h_2 = (a(a-1)/2 + b)(X<>X) + ac (X<>zeta) + c^2/2 (zeta<>zeta)
-            = a(a-1)/2 + b + ac rho kappa_bar + c^2 kappa_bar^2 / 2
-
-    with the branches (X, a) and (zeta, c):
+    ``AffineState`` and ``cumulant_states`` runs them from the seeds of the
+    forests (``expansions._spx_seeds``): the linear state L = aX + c zeta,
+    with (z, w) = (a, c kappa_bar), at order 1 and 1/2 L<>L + (b - a/2)(X<>X)
+    at order 2.  Above them the pair (1, k-1) is the linear term
 
         h_k = 1/2 sum_{j=2}^{k-2} w_j w_{k-j} + (a rho + c kappa_bar) w_{k-1},
         w_k = kappa * h_k .
@@ -767,18 +732,18 @@ def spx_exponent(
         raise ValueError("need t < T")
     grid, convolve, kbar = _tree_grid(kernel, delta, T - t, n_steps)
     leaves = _leaf_states(convolve, rho, kbar)
-    price, zeta_leaf = leaves["Y"], leaves["zeta"]
-    seed = (
-        price.diamond(price).scale(0.5 * a * (a - 1.0) + b)
-        + price.diamond(zeta_leaf).scale(a * c)
-        + zeta_leaf.diamond(zeta_leaf).scale(0.5 * c * c)
-    )
-    states = cumulant_states({2: seed}, order, [(price, a), (zeta_leaf, c)])
+    states = cumulant_states(_spx_seeds(leaves["Y"], leaves["zeta"], a, b, c), order)
     h = sum(states[k].h for k in range(2, order + 1))
     value = a * x + c * zeta + float(np.trapezoid(curve(T - grid) * h, grid))
     if not math.isfinite(value):
         raise DomainError(f"the order-{order} exponent overflowed: weights (a, b, c) too large")
     return value
+
+
+@lru_cache(maxsize=1)
+def _spx_forest_seed() -> Forest:
+    """Order 2 of ``spx_g_expansion``, built once: forests are immutable."""
+    return spx_g_expansion(2).orders[2]
 
 
 def spx_expansion_value(
@@ -803,7 +768,7 @@ def spx_expansion_value(
     seed at order 2 and reach ``order``, or ``ValueError`` is raised.  The sum
     of coeff * ``tree_value`` over them is the test oracle of the result.
     """
-    if orders_forests.get(2) != _spx_seed():
+    if orders_forests.get(2) != _spx_forest_seed():
         raise ValueError(
             "orders_forests must be spx_g_expansion forests (order 2 is not the SPX seed)"
         )

@@ -35,7 +35,13 @@ from .errors import (
     MIN_STEPS,
     DomainError,
 )
-from .expansions import g_expansion, k_expansion, spx_g_expansion, specialize
+from .expansions import (
+    DEFAULT_MAX_ORDER_CAP,
+    g_expansion,
+    k_expansion,
+    specialize,
+    spx_g_expansion,
+)
 from .models.levy import levy_alpha, levy_cgf
 from .models.signature import (
     cameron_martin_cgf,
@@ -238,6 +244,8 @@ def read_curve_csv(path: str) -> ForwardVarianceCurve:
 
 def cmd_expand(args) -> dict:
     builders = {"K": k_expansion, "G": g_expansion, "SPX": spx_g_expansion}
+    low = 1 if args.kind == "K" else 2
+    _flag("order", args.order, low, f"the {args.kind} expansion", DEFAULT_MAX_ORDER_CAP)
     result = builders[args.kind](args.order)
     if args.bind:
         bindings = {}
@@ -266,6 +274,7 @@ def cmd_expand(args) -> dict:
 
 
 def cmd_levy(args) -> dict:
+    _flag("order", args.order, 2, "the area series")
     alphas = levy_alpha(args.order)
     partial = levy_cgf(args.T, args.order)
     closed = -math.log(math.cos(args.T))
@@ -278,6 +287,7 @@ def cmd_levy(args) -> dict:
 
 
 def cmd_cameron_martin(args) -> dict:
+    _flag("order", args.order, 1, "the exponent series")
     result = {
         "q": {str(n): v for n, v in cameron_martin_q(args.order).items()},
         "cgf_coefficients": {
@@ -295,6 +305,7 @@ def cmd_cameron_martin(args) -> dict:
 def cmd_bessel(args) -> dict:
     from .models.bessel import bessel_laplace, bessel_laplace_series
 
+    _flag("order", args.order, 2, "the Laplace series")
     closed = bessel_laplace(args.x, args.delta, args.lam, args.T)
     series = bessel_laplace_series(args.x, args.delta, args.lam, args.T, args.order)
     return {
@@ -307,6 +318,7 @@ def cmd_bessel(args) -> dict:
 def cmd_chaos2(args) -> dict:
     from .models.chaos2 import chaos2_cumulants, constant_kernel, eigenvalue_cumulants
 
+    _flag("order", args.order, 1, "the cumulants")
     if (args.kernel is None) == (args.flat is None):
         raise UsageError("provide exactly one of --kernel FILE or --flat VALUE")
     if args.kernel is not None:

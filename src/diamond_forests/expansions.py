@@ -3,24 +3,23 @@
 One quadratic recursion generates everything here, over any state family
 closed under addition, rational scaling and the commutative diamond product
 (formal forests with exact polynomial coefficients, the Levy J-family, chaos2
-kernels).  :func:`cumulant_states` takes seed states for the lowest orders and
-an optional list of linear branches ``(s, c)``; above the seeds it forms
+kernels, affine loadings).  :func:`cumulant_states` takes seed states for the
+lowest orders; above the seeds it forms
 
-    X[m] = sum_{j<k, j+k=m} X[j] <> X[k] + 1/2 X[m/2] <> X[m/2]
-           + sum_branches c * (s <> X[m-1]),
+    X[m] = sum_{j<k, j+k=m} X[j] <> X[k] + 1/2 X[m/2] <> X[m/2],
 
 visiting each unordered pair {j, k} once instead of summing every ordered
-pair and halving.  The expansions are configurations of it:
+pair and halving.  The expansions are configurations of it, each one seed
+dict:
 
 * the cumulant recursion ``K[1] = sum of leaves``,
   ``K[n+1] = 1/2 * sum_{k=1..n} K[k] <> K[n+1-k]`` — ``n! * K[n]`` is the
-  n-th conditional cumulant of the terminal value (seed ``{1: K[1]}``, no
-  branches);
-* the joint-CGF recursion ``G[2] = (a^2/2 + b) * (Y<>Y)``,
-  ``G[k] = 1/2 * sum_{j=2..k-2} G[k-j] <> G[j] + a * (Y <> G[k-1])`` for the
-  pair (martingale, its quadratic variation) (seed ``{2: G[2]}``, branch
-  ``(Y, a)``), plus a three-parameter variant with a second leaf ``zeta`` for
-  a forward-curve functional (branches ``(Y, a)`` and ``(zeta, c)``).
+  n-th conditional cumulant of the terminal value (seed ``{1: K[1]}``);
+* the joint-CGF recursion for the pair (martingale, its quadratic
+  variation), seeded ``{1: aY, 2: 1/2 (aY)<>(aY) + b (Y<>Y)}``: above order 2
+  the pair (1, k-1) is the linear term ``a * (Y <> G[k-1])``, and order 1 is
+  dropped from the result; plus a three-parameter variant with a second leaf
+  ``zeta`` for a forward-curve functional, seeded from ``L = aY + c zeta``.
 
 ``reorder`` connects the two: running the two-letter cumulant recursion over
 ``{Y, QV}``, substituting the QV leaf by the two-leaf cherry ``(Y,Y)`` and
@@ -83,40 +82,42 @@ def _check_order(max_order: int, low: int) -> None:
         raise ValueError(f"max_order {max_order} exceeds cap {DEFAULT_MAX_ORDER_CAP}")
 
 
-def cumulant_states(
-    seeds: Mapping[int, Any],
-    n_max: int,
-    branches: Sequence[Tuple[Any, Any]] = (),
-) -> Dict[int, Any]:
+def cumulant_states(seeds: Mapping[int, Any], n_max: int) -> Dict[int, Any]:
     """Run the cumulant recursion over any diamond-closed state family.
 
-    States need ``+``, ``scale(q)`` and a commutative ``diamond``.  Orders up
-    to ``max(seeds)`` are the seeds themselves; every higher order m is the
-    sum over unordered pairs j <= k with j + k = m (both at least the lowest
-    seed order), the diagonal pair weighted by 1/2, plus ``c * (s <> X[m-1])``
-    for each branch ``(s, c)``.
+    States need ``+``, ``scale(q)`` and a commutative ``diamond``.  Orders
+    1..max(seeds) are the seeds themselves; every higher order m is the sum
+    over unordered pairs j <= k with j + k = m, the diagonal pair weighted by
+    1/2.
 
     Args:
-        seeds: order -> state for the consecutive lowest orders.
+        seeds: order -> state for the orders 1..s.
         n_max: highest order to generate.
-        branches: linear terms ``(state, scalar)`` added at every order.
 
     Returns:
         dict order -> state for the seed orders and every order up to ``n_max``.
     """
-    low = min(seeds)
     states: Dict[int, Any] = dict(seeds)
-    zero = states[low].scale(0)
     for m in range(max(seeds) + 1, n_max + 1):
-        acc = zero
-        for j in range(low, (m + 1) // 2):
-            acc = acc + states[j].diamond(states[m - j])
-        if m % 2 == 0 and m // 2 >= low:
-            acc = acc + states[m // 2].diamond(states[m // 2]).scale(HALF)
-        for s, c in branches:
-            acc = acc + s.diamond(states[m - 1]).scale(c)
-        states[m] = acc
+        pairs = [states[j].diamond(states[m - j]) for j in range(1, (m + 1) // 2)]
+        if m % 2 == 0:
+            pairs.append(states[m // 2].diamond(states[m // 2]).scale(HALF))
+        states[m] = sum(pairs[1:], pairs[0])
     return states
+
+
+def _exponent_seeds(linear: Any, price: Any, beta: Any) -> Dict[int, Any]:
+    """Seeds ``{1: L, 2: 1/2 L<>L + beta (P<>P)}`` of a joint exponent with
+    linear part L and price leaf P, in any state family: above order 2 the
+    pair (1, m-1) of the recursion is the exponent's linear term L <> X[m-1]."""
+    return {1: linear, 2: linear.diamond(linear).scale(HALF) + price.diamond(price).scale(beta)}
+
+
+def _spx_seeds(price: Any, zeta: Any, a: Any, b: Any, c: Any) -> Dict[int, Any]:
+    """SPX seeds for weights (a, b, c) on (price, quadratic variation, curve):
+    L = a P + c zeta and beta = b - a/2, so order 2 is
+    (a(a-1)/2 + b)(P<>P) + ac (P<>zeta) + c^2/2 (zeta<>zeta)."""
+    return _exponent_seeds(price.scale(a) + zeta.scale(c), price, b - a * HALF)
 
 
 def k_expansion(
@@ -168,45 +169,30 @@ def g_expansion(max_order: int) -> ExpansionResult:
     ``b`` (quadratic variation).  Every tree in G[k] has exactly k leaves.
     """
     _check_order(max_order, 2)
-    a = Poly.symbol("a")
-    b = Poly.symbol("b")
-    y = leaf("Y")
-    g2 = Forest.of(join(y, y), a * a * HALF + b)
-    orders = cumulant_states({2: g2}, max_order, [(Forest.of(y), a)])
-    return ExpansionResult(kind="G", alphabet=("Y",), symbols=("a", "b"), orders=orders)
-
-
-def _spx_seed() -> Forest:
-    """Order-2 SPX forest (a(a-1)/2 + b)(Y<>Y) + ac (Y<>zeta) + c^2/2 (zeta<>zeta)."""
-    a = Poly.symbol("a")
-    b = Poly.symbol("b")
-    c = Poly.symbol("c")
-    y = leaf("Y")
-    z = leaf("zeta")
-    return (
-        Forest.of(join(y, y), a * (a - 1) * HALF + b)
-        + Forest.of(join(y, z), a * c)
-        + Forest.of(join(z, z), c * c * HALF)
+    y = Forest.of(leaf("Y"))
+    orders = cumulant_states(
+        _exponent_seeds(y.scale(Poly.symbol("a")), y, Poly.symbol("b")), max_order
     )
+    del orders[1]
+    return ExpansionResult(kind="G", alphabet=("Y",), symbols=("a", "b"), orders=orders)
 
 
 def spx_g_expansion(max_order: int) -> ExpansionResult:
     """Three-parameter G forests over the two-leaf alphabet {Y, zeta}.
 
     ``Y`` is the price log-martingale leaf, ``zeta`` a forward-curve leaf;
-    weights are (a, b, c) for (price, quadratic variation, curve).  The order-2
-    seed is ``(a(a-1)/2 + b)(Y<>Y) + ac (Y<>zeta) + c^2/2 (zeta<>zeta)`` and
-    the recursion gains the extra branch ``c * (zeta <> G[k-1])``.
+    weights are (a, b, c) for (price, quadratic variation, curve).  The seeds
+    are ``L = aY + c zeta`` at order 1 (dropped from the result) and
+    ``1/2 L<>L + (b - a/2)(Y<>Y)`` at order 2 (``_spx_seeds``).
 
     Specializing (a, b, c) = (1, 0, 0) collapses every order to the zero
     forest — the martingality cancellation.
     """
     _check_order(max_order, 2)
-    orders = cumulant_states(
-        {2: _spx_seed()},
-        max_order,
-        [(Forest.of(leaf("Y")), Poly.symbol("a")), (Forest.of(leaf("zeta")), Poly.symbol("c"))],
-    )
+    a, b, c = (Poly.symbol(s) for s in "abc")
+    seeds = _spx_seeds(Forest.of(leaf("Y")), Forest.of(leaf("zeta")), a, b, c)
+    orders = cumulant_states(seeds, max_order)
+    del orders[1]
     return ExpansionResult(
         kind="SPXG", alphabet=("Y", "zeta"), symbols=("a", "b", "c"), orders=orders
     )

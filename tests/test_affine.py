@@ -13,7 +13,6 @@ from diamond_forests.affine import (
     GROWTH_BOUND,
     MAX_STEPS,
     ForwardVarianceCurve,
-    HFunction,
     KernelSpec,
     RiccatiSolution,
     heston_ode_reference,
@@ -24,7 +23,6 @@ from diamond_forests.affine import (
     solve_riccati,
     spx_expansion_value,
     spx_exponent,
-    tree_h,
     tree_value,
 )
 from diamond_forests.algebra import join, leaf
@@ -122,23 +120,26 @@ def test_flat_curve_rejects_non_finite_level(value):
 # tree loadings
 
 
-def grid_of(h: HFunction) -> np.ndarray:
-    return np.asarray(h.grid)
+def tree_h(tree, kernel, rho, delta, horizon, n_steps=1024):
+    """The tau-grid and the weight h of one tree, joined node by node: the
+    single-tree loading that ``tree_value`` integrates."""
+    grid, convolve, kbar = affine._tree_grid(kernel, delta, horizon, n_steps)
+    return grid, affine._tree_state(tree, affine._leaf_states(convolve, rho, kbar)).h
 
 
 def test_tree_h_base_cases():
     T = 1.2
     delta = 0.1
-    hxx = tree_h(join(Y, Y), EXP, rho=-0.7, delta=delta, horizon=T)
-    assert np.allclose(hxx.values, 1.0)
+    _, hxx = tree_h(join(Y, Y), EXP, rho=-0.7, delta=delta, horizon=T)
+    assert np.allclose(hxx, 1.0)
 
-    hxz = tree_h(join(Y, Z), EXP, rho=-0.7, delta=delta, horizon=T)
-    want = -0.7 * np.array([kappa_bar(EXP, tau, delta) for tau in grid_of(hxz)])
-    assert np.allclose(hxz.values, want, atol=1e-14)
+    grid, hxz = tree_h(join(Y, Z), EXP, rho=-0.7, delta=delta, horizon=T)
+    want = -0.7 * np.array([kappa_bar(EXP, tau, delta) for tau in grid])
+    assert np.allclose(hxz, want, atol=1e-14)
 
-    hzz = tree_h(join(Z, Z), EXP, rho=-0.7, delta=delta, horizon=T)
-    want = np.array([kappa_bar(EXP, tau, delta) ** 2 for tau in grid_of(hzz)])
-    assert np.allclose(hzz.values, want, atol=1e-14)
+    grid, hzz = tree_h(join(Z, Z), EXP, rho=-0.7, delta=delta, horizon=T)
+    want = np.array([kappa_bar(EXP, tau, delta) ** 2 for tau in grid])
+    assert np.allclose(hzz, want, atol=1e-14)
 
 
 def test_tree_h_rejects_unknown_leaf():
@@ -146,22 +147,35 @@ def test_tree_h_rejects_unknown_leaf():
         tree_h(join(leaf("QV"), Y), EXP, rho=0.0, delta=0.1, horizon=1.0)
 
 
+def test_tree_value_refuses_a_single_leaf():
+    crv = ForwardVarianceCurve.flat(0.04)
+    with pytest.raises(ValueError, match="single leaf is not a diamond tree"):
+        tree_value(Y, EXP, -0.7, 0.1, crv, t=0.0, T=1.0)
+
+
+def test_tree_value_refuses_a_non_finite_weight():
+    # kappa_bar ~ 1e199 on the grid, so the zeta cherry's h = kappa_bar^2 overflows
+    huge = KernelSpec.exponential(1e200, 1.0)
+    crv = ForwardVarianceCurve.flat(0.04)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="h must be finite on the grid"):
+            tree_value(join(Z, Z), huge, -0.7, 0.1, crv, t=0.0, T=1.0)
+
+
 def test_heston_ladder_tree_closed_form():
     # X <> (X <> X) with an exponential kernel: (rho nu / lam)(1 - e^{-lam tau})
     tree = join(Y, join(Y, Y))
-    h = tree_h(tree, EXP, rho=-0.7, delta=0.1, horizon=1.0, n_steps=512)
-    tau = grid_of(h)
+    tau, h = tree_h(tree, EXP, rho=-0.7, delta=0.1, horizon=1.0, n_steps=512)
     want = (-0.7 * 0.3 / 1.0) * (1.0 - np.exp(-1.0 * tau))
-    assert np.max(np.abs(h.values - want)) <= 1e-12
+    assert np.max(np.abs(h - want)) <= 1e-12
 
 
 def test_rough_double_cherry_closed_form():
     # (X <> X) <> (X <> X) with a power-law kernel: nu^2 tau^{2 alpha} / Gamma(1+alpha)^2
     tree = join(join(Y, Y), join(Y, Y))
-    h = tree_h(tree, POW, rho=-0.7, delta=0.1, horizon=1.0, n_steps=512)
-    tau = grid_of(h)
+    tau, h = tree_h(tree, POW, rho=-0.7, delta=0.1, horizon=1.0, n_steps=512)
     want = (0.4**2) * tau ** (2 * 0.6) / math.gamma(1.6) ** 2
-    assert np.max(np.abs(h.values - want)) <= 1e-12
+    assert np.max(np.abs(h - want)) <= 1e-12
 
 
 def test_cherry_value_is_curve_integral():

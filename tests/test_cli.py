@@ -15,6 +15,7 @@ import jsonschema
 import pytest
 
 from diamond_forests import cli
+from diamond_forests.expansions import DEFAULT_MAX_ORDER_CAP
 from diamond_forests.mc import MAX_PATHS
 from diamond_forests.verification import Check, SuiteReport
 
@@ -491,6 +492,30 @@ def test_out_of_range_flags_name_the_flag(argv, flag, keyword, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert flag in err and keyword not in err
+
+
+@pytest.mark.parametrize(
+    "argv, low, high",
+    [
+        (["expand"], 1, DEFAULT_MAX_ORDER_CAP),
+        (["expand", "--kind", "G"], 2, DEFAULT_MAX_ORDER_CAP),
+        (["expand", "--kind", "SPX"], 2, DEFAULT_MAX_ORDER_CAP),
+        (["levy"], 2, None),
+        (["bessel", "--delta", "2", "--lambda", "0.1", "--T", "1"], 2, None),
+        (["cameron-martin"], 1, None),
+        (["chaos2", "--flat", "1", "--grid", "8"], 1, None),
+    ],
+    ids=["expand-K", "expand-G", "expand-SPX", "levy", "bessel", "cameron-martin",
+         "chaos2"],
+)
+def test_order_outside_the_command_range_names_the_flag(argv, low, high, capsys):
+    refused = [(low - 1, f">= {low}")] + ([(high + 1, f"<= {high}")] if high else [])
+    for order, bound in refused:
+        assert cli.main([*argv, "--order", str(order)]) == 2
+        err = capsys.readouterr().err
+        assert f"--order must be {bound}" in err, err
+        assert "n_max" not in err and "max_order" not in err
+    run_json([*argv, "--order", str(low)])
 
 
 @pytest.mark.parametrize("suite", ["levy", "bessel"])

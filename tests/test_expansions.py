@@ -61,8 +61,9 @@ def test_engine_scalar_states_give_halved_catalan_numbers():
 
 
 def test_engine_branch_and_seed_orders():
-    # X[2] = 1, X[m] = 1/2 sum_{j=2}^{m-2} X[j] X[m-j] + 3 X[m-1]
-    states = cumulant_states({2: Num(Fraction(1))}, 6, [(Num(Fraction(3)), 1)])
+    # X[1] = 3 and X[2] = 1 seed X[m] = 1/2 sum_{j=2}^{m-2} X[j] X[m-j] + 3 X[m-1]:
+    # the pair (1, m-1) is the linear branch
+    states = cumulant_states({1: Num(Fraction(3)), 2: Num(Fraction(1))}, 6)
     assert [states[m].x * 2 for m in range(2, 7)] == [2, 6, 19, 63, 217]
 
 
@@ -78,6 +79,12 @@ def test_k_expansion_visits_each_unordered_pair_once(monkeypatch):
     k_expansion(12)
     # sum_{m=2}^{12} floor(m/2) unordered pairs, against 66 ordered ones
     assert len(calls) == 36
+    # G and SPX: two diamonds build the order-2 seed, then sum_{m=3}^{n} floor(m/2)
+    # pairs; the pair (1, m-1) is the whole linear term, one diamond per order
+    for build, order, diamonds in [(g_expansion, 10, 26), (spx_g_expansion, 8, 17)]:
+        calls.clear()
+        build(order)
+        assert len(calls) == diamonds
 
 
 @pytest.mark.parametrize(
