@@ -2,8 +2,8 @@
 
 The objects here are the building blocks of the cumulant expansions:
 
-* ``Poly`` — multivariate polynomials over exact rationals (``fractions.Fraction``)
-  in formal symbols such as ``a``, ``b``, ``c``, ``z1``, ``lambda``.
+* ``Poly`` — multivariate polynomials with exact rational coefficients in
+  formal symbols such as ``a``, ``b``, ``c``, ``z1``, ``lambda``.
 * ``Tree`` — canonical *unordered* binary trees with named leaves.  The diamond
   product of two trees is represented by joining them under a new root, and
   "unordered" is enforced by keeping children sorted under a fixed total order
@@ -22,17 +22,43 @@ The objects here are the building blocks of the cumulant expansions:
 All arithmetic is exact: identities that are supposed to cancel (for instance
 the exponential-martingale cancellation in the expansion engine) cancel to the
 structural zero forest, never merely to a small float.
+
+Representation.  The expansions make tens of thousands of trees whose
+coefficients are small polynomials, so the work is per tree and per term.
+``fractions.Fraction`` pays a gcd and an object per coefficient operation, and
+name-sorted monomials must be merged and re-sorted on every product, so
+neither is used inside the arithmetic:
+
+* A symbol gets a position the first time it is seen, fixed for the process.
+  A ``Poly`` keys its terms by exponent tuples in that order, all as long as
+  one past the last symbol the polynomial uses, so a product of monomials is
+  ``tuple(map(add, m1, m2))``.
+* A ``Poly`` holds integer numerators over one shared positive denominator,
+  reduced by one ``math.gcd`` per operation.  The reduced form is unique, so
+  ``==`` and ``hash`` compare it directly.
+* ``Poly.terms`` presents name-sorted ``((symbol, exponent), ...)`` monomials
+  with ``Fraction`` coefficients, for printing, evaluation and callers.
+* Trees are interned: ``leaf`` and ``join`` return the one instance of each
+  canonical shape, ``join`` through a table keyed by its two children, so a
+  repeated join is one dict lookup and ``==``/``hash`` are identity.
+* ``Forest.diamond`` multiplies each pair of coefficient objects once and
+  keeps one object per distinct coefficient it makes: an order-10 SPX forest
+  has 32 763 trees but 136 distinct coefficients.  ``scale`` and
+  ``map_coeffs`` call their function once per coefficient object, and a
+  ``Poly`` keeps its hash and its text once computed.
 """
 
 from __future__ import annotations
 
 import ast
+import math
 import operator
 import re
+import threading
 import unicodedata
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Dict, Iterator, Mapping, Optional, Tuple, Union
+from operator import add
+from typing import ClassVar, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "Poly",
@@ -71,15 +97,75 @@ def parse_fraction(s: str) -> Fraction:
 # Polynomials
 # ---------------------------------------------------------------------------
 
-# A monomial is a sorted tuple of (symbol, exponent>0) pairs; () is the unit.
+# A monomial as ``Poly.terms`` presents it: a name-sorted tuple of
+# (symbol, exponent > 0) pairs; () is the unit.
 Monomial = Tuple[Tuple[str, int], ...]
+# A monomial as a Poly stores it: exponents in the fixed symbol order.
+Exponents = Tuple[int, ...]
+
+# The fixed symbol order: a symbol's position is fixed when it is first seen.
+_SYMBOLS: List[str] = []
+_POSITION: Dict[str, int] = {}
+# Guards each first insertion into the symbol order and the tree tables below:
+# two threads must never give one symbol two positions or one shape two trees.
+_FIRST_SEEN = threading.Lock()
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    powers: Dict[str, int] = dict(m1)
-    for sym, e in m2:
-        powers[sym] = powers.get(sym, 0) + e
-    return tuple(sorted((s, e) for s, e in powers.items() if e != 0))
+def _position(sym: str) -> int:
+    i = _POSITION.get(sym)
+    if i is None:
+        with _FIRST_SEEN:
+            i = _POSITION.get(sym)
+            if i is None:
+                i = _POSITION[sym] = len(_SYMBOLS)
+                _SYMBOLS.append(sym)
+    return i
+
+
+def _new(nums: Dict[Exponents, int], den: int, width: int) -> "Poly":
+    p = object.__new__(Poly)
+    p._nums, p._den, p._width, p._hash, p._text = nums, den, width, None, None
+    return p
+
+
+def _reduced(nums: Dict[Exponents, int], den: int, width: int) -> "Poly":
+    """The Poly of nonzero numerators ``nums`` over ``den``, with their common
+    factor divided out."""
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {m: c // g for m, c in nums.items()}
+    return _new(nums, den, width)
+
+
+def _normal(nums: Dict[Exponents, int], den: int) -> "Poly":
+    """Like :func:`_reduced`, for numerators that may be zero and monomials
+    that may end in symbols no term uses."""
+    if 0 in nums.values():
+        nums = {m: c for m, c in nums.items() if c}
+    if not nums:
+        return Poly.zero_
+    full = width = len(next(iter(nums)))
+    while width and not any(m[width - 1] for m in nums):
+        width -= 1
+    if width < full:
+        nums = {m[:width]: c for m, c in nums.items()}
+    return _reduced(nums, den, width)
+
+
+def _widened(nums: Dict[Exponents, int], width: int) -> Dict[Exponents, int]:
+    pad = (0,) * (width - len(next(iter(nums))))
+    return {m + pad: c for m, c in nums.items()}
+
+
+def _aligned(p: "Poly", q: "Poly") -> Tuple[Dict[Exponents, int], Dict[Exponents, int], int]:
+    """The numerators of two nonzero polynomials over monomials of one width."""
+    if p._width < q._width:
+        return _widened(p._nums, q._width), q._nums, q._width
+    if p._width > q._width:
+        return p._nums, _widened(q._nums, p._width), p._width
+    return p._nums, q._nums, p._width
 
 
 def _mono_str(m: Monomial) -> str:
@@ -88,52 +174,82 @@ def _mono_str(m: Monomial) -> str:
     return "*".join(s if e == 1 else f"{s}^{e}" for s, e in m)
 
 
-@dataclass(frozen=True)
 class Poly:
     """Multivariate polynomial with exact rational coefficients.
 
-    ``terms`` maps monomials to nonzero ``Fraction`` coefficients; zero
-    coefficients are never stored, so ``p.is_zero()`` is a structural check
-    and ``==`` is exact polynomial equality.
+    ``terms`` lists the nonzero terms as sorted ``(monomial, Fraction)``
+    pairs; zero coefficients are never stored, so ``p.is_zero()`` is a
+    structural check and ``==`` is exact polynomial equality.  Stored as
+    integer numerators over one positive denominator (module docstring);
+    treated as an immutable value.
     """
 
-    terms: Tuple[Tuple[Monomial, Fraction], ...]
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def from_dict(d: Mapping[Monomial, RationalLike]) -> "Poly":
-        cleaned = {m: Fraction(c) for m, c in d.items() if c != 0}
-        return Poly(tuple(sorted(cleaned.items())))
-
-    @staticmethod
-    def const(c: RationalLike) -> "Poly":
-        return Poly.from_dict({(): Fraction(c)})
-
-    @staticmethod
-    def symbol(name: str) -> "Poly":
-        return Poly.from_dict({((name, 1),): Fraction(1)})
+    # ``_hash`` and ``_text`` are filled on first use: forests share
+    # coefficient objects, so each is hashed and printed once
+    __slots__ = ("_nums", "_den", "_width", "_hash", "_text")
 
     # canonical constants, assigned right after the class body
     zero_: ClassVar["Poly"]
     one_: ClassVar["Poly"]
 
-    # -- ring operations ----------------------------------------------------
+    # -- constructors -------------------------------------------------------
 
-    def _as_dict(self) -> Dict[Monomial, Fraction]:
-        return dict(self.terms)
+    def __init__(self, terms: Iterable[Tuple[Monomial, RationalLike]] = ()):
+        rows = []
+        for mono, c in terms:
+            exps: Dict[int, int] = {}
+            for sym, e in mono:
+                i = _position(sym)
+                exps[i] = exps.get(i, 0) + e
+            rows.append((exps, Fraction(c)))
+        width = max((i + 1 for exps, _ in rows for i in exps), default=0)
+        den = math.lcm(*(c.denominator for _, c in rows))
+        nums: Dict[Exponents, int] = {}
+        for exps, c in rows:
+            m = tuple(exps.get(i, 0) for i in range(width))
+            nums[m] = nums.get(m, 0) + c.numerator * (den // c.denominator)
+        p = _normal(nums, den)
+        self._nums, self._den, self._width = p._nums, p._den, p._width
+        self._hash = self._text = None
+
+    @staticmethod
+    def from_dict(d: Mapping[Monomial, RationalLike]) -> "Poly":
+        return Poly(d.items())
+
+    @staticmethod
+    def const(c: RationalLike) -> "Poly":
+        if type(c) is not int:
+            c = Fraction(c)
+            return _new({(): c.numerator} if c else {}, c.denominator, 0)
+        return _new({(): c} if c else {}, 1, 0)
+
+    @staticmethod
+    def symbol(name: str) -> "Poly":
+        i = _position(name)
+        return _new({(0,) * i + (1,): 1}, 1, i + 1)
+
+    # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "PolyLike") -> "Poly":
         other = as_poly(other)
-        d = self._as_dict()
-        for m, c in other.terms:
-            d[m] = d.get(m, Fraction(0)) + c
-        return Poly.from_dict(d)
+        if not other._nums:
+            return self
+        if not self._nums:
+            return other
+        a, b, width = _aligned(self, other)
+        g = math.gcd(self._den, other._den)
+        f1, f2 = other._den // g, self._den // g
+        den, out = self._den * f1, {m: c * f1 for m, c in a.items()}
+        for m, c in b.items():
+            out[m] = out.get(m, 0) + c * f2
+        if 0 in out.values():
+            return _normal(out, den)
+        return _reduced(out, den, width)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple((m, -c) for m, c in self.terms))
+        return _new({m: -c for m, c in self._nums.items()}, self._den, self._width)
 
     def __sub__(self, other: "PolyLike") -> "Poly":
         return self + (-as_poly(other))
@@ -143,12 +259,19 @@ class Poly:
 
     def __mul__(self, other: "PolyLike") -> "Poly":
         other = as_poly(other)
-        d: Dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = _mono_mul(m1, m2)
-                d[m] = d.get(m, Fraction(0)) + c1 * c2
-        return Poly.from_dict(d)
+        if not self._nums or not other._nums:
+            return Poly.zero_
+        a, b, width = _aligned(self, other)
+        den = self._den * other._den
+        out: Dict[Exponents, int] = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = tuple(map(add, m1, m2))
+                out[m] = out.get(m, 0) + c1 * c2
+        # a product of nonzero polynomials uses every symbol its factors use
+        if 0 in out.values():
+            return _normal(out, den)
+        return _reduced(out, den, width)
 
     __rmul__ = __mul__
 
@@ -164,22 +287,42 @@ class Poly:
             n >>= 1
         return out
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Poly:
+            return NotImplemented
+        return self._den == other._den and self._nums == other._nums
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self._den, frozenset(self._nums.items())))
+        return self._hash
+
+    def __reduce__(self):
+        # positions in the symbol order belong to one process: pickle by name
+        return (Poly, (self.terms,))
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def is_constant(self) -> bool:
-        return all(m == () for m, _ in self.terms)
+        return self._width == 0
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (ValueError otherwise)."""
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_constant():
+        if self._width:
             raise ValueError(f"polynomial {self} is not constant")
-        return self.terms[0][1]
+        return Fraction(self._nums.get((), 0), self._den)
 
     def symbols(self) -> set:
-        return {s for m, _ in self.terms for s, _ in m}
+        return {_SYMBOLS[i] for m in self._nums for i, e in enumerate(m) if e}
+
+    @property
+    def terms(self) -> Tuple[Tuple[Monomial, Fraction], ...]:
+        den = self._den
+        return tuple(sorted(
+            (tuple(sorted((_SYMBOLS[i], e) for i, e in enumerate(m) if e)), Fraction(c, den))
+            for m, c in self._nums.items()
+        ))
 
     # -- substitution / evaluation ------------------------------------------
 
@@ -187,37 +330,45 @@ class Poly:
         """Replace symbols by polynomials (or rationals); exact.
 
         Symbols absent from ``bindings`` are left untouched.  Substitution is
-        simultaneous (``{"a": b, "b": a}`` swaps) and runs in one pass:
-        constant bindings fold into each term's coefficient, powers of
-        polynomial bindings are built once, and every term lands in one dict.
+        simultaneous (``{"a": b, "b": a}`` swaps) and runs in one pass over
+        integers: a bound symbol i with denominator q_i and top exponent E_i
+        puts the whole result over ``den * prod q_i^E_i``, the powers of each
+        binding are built once, and every term lands in one dict.
         """
-        polys = {sym: as_poly(p) for sym, p in bindings.items()}
-        consts = {sym: p.constant_value() for sym, p in polys.items() if p.is_constant()}
-        powers: Dict[Tuple[str, int], Poly] = {}
-        out: Dict[Monomial, Fraction] = {}
-        for m, c in self.terms:
-            kept = []
-            factor: Optional[Poly] = None
-            for sym, e in m:
-                if sym in consts:
-                    c *= consts[sym] ** e
-                elif sym in polys:
-                    p = powers.get((sym, e))
-                    if p is None:
-                        p = powers[(sym, e)] = polys[sym] ** e
-                    factor = p if factor is None else factor * p
-                else:
-                    kept.append((sym, e))
-            if not c:
-                continue
-            rest = tuple(kept)
+        polys: Dict[int, Poly] = {}
+        for sym, value in bindings.items():
+            i = _POSITION.get(sym)
+            if i is not None and i < self._width:
+                polys[i] = as_poly(value)
+        if not polys or not self._nums:
+            return self
+        width = max([self._width, *(p._width for p in polys.values())])
+        nums = self._nums if width == self._width else _widened(self._nums, width)
+        common = 1
+        for i, p in polys.items():
+            common *= p._den ** max(m[i] for m in nums)
+        powers: Dict[Tuple[int, int], Poly] = {}
+        out: Dict[Exponents, int] = {}
+        for m, c in nums.items():
+            rest = list(m)
+            factor = None
+            for i, p in polys.items():
+                e = m[i]
+                if e:
+                    rest[i] = 0
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[(i, e)] = p ** e
+                    factor = power if factor is None else factor * power
             if factor is None:
-                out[rest] = out.get(rest, 0) + c
+                rest = tuple(rest)
+                out[rest] = out.get(rest, 0) + c * common
                 continue
-            for m2, c2 in factor.terms:
-                mono = _mono_mul(rest, m2)
+            c *= common // factor._den
+            for m2, c2 in factor._nums.items():
+                mono = tuple(map(add, rest, m2 + (0,) * (width - len(m2))))
                 out[mono] = out.get(mono, 0) + c * c2
-        return Poly.from_dict(out)
+        return _normal(out, self._den * common)
 
     def evaluate(self, values: Mapping[str, float]) -> float:
         """Evaluate numerically; every symbol must be bound."""
@@ -234,12 +385,18 @@ class Poly:
     # -- presentation -------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if self._text is None:
+            self._text = self._format()
+        return self._text
+
+    def _format(self) -> str:
+        terms = self.terms
+        if not terms:
             return "0"
         # sort: total degree, then monomial — stable, readable output
         key = lambda mc: (sum(e for _, e in mc[0]), mc[0])
         parts = []
-        for m, c in sorted(self.terms, key=key):
+        for m, c in sorted(terms, key=key):
             coeff = format_fraction(c)
             if m == ():
                 parts.append(coeff)
@@ -260,8 +417,8 @@ class Poly:
 
 PolyLike = Union[Poly, int, Fraction]
 
-Poly.zero_ = Poly(())
-Poly.one_ = Poly((((), Fraction(1)),))
+Poly.zero_ = _new({}, 1, 0)
+Poly.one_ = _new({(): 1}, 1, 0)
 
 
 def as_poly(x: PolyLike) -> Poly:
@@ -326,22 +483,28 @@ def parse_poly(text: str) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Tree:
     """A canonical unordered binary tree with named leaves.
 
-    Build trees with :func:`leaf` and :func:`join`; the constructor itself is
-    not meant to be called with unsorted children.  Canonical form: at every
-    internal node ``serialize(left) <= serialize(right)`` under plain string
-    comparison, so equal trees always have identical serializations (and the
-    serialization doubles as the hash key).
+    Only :func:`leaf` and :func:`join` make trees, and they make one instance
+    per canonical shape, so ``==`` and ``hash`` are identity.  Canonical form:
+    at every internal node ``serialize(left) <= serialize(right)`` under plain
+    string comparison, so equal trees always have identical serializations.
     """
 
-    shape: str  # canonical serialization, e.g. "((Y,Y),Y)"
-    label: Optional[str] = None  # set iff the tree is a single leaf
-    left: Optional["Tree"] = None
-    right: Optional["Tree"] = None
-    leaves: int = 1
+    __slots__ = ("shape", "label", "left", "right", "leaves")
+
+    def __init__(
+        self,
+        shape: str,  # canonical serialization, e.g. "((Y,Y),Y)"
+        label: Optional[str] = None,  # set iff the tree is a single leaf
+        left: Optional["Tree"] = None,
+        right: Optional["Tree"] = None,
+        leaves: int = 1,
+    ):
+        self.shape, self.label, self.left, self.right, self.leaves = (
+            shape, label, left, right, leaves
+        )
 
     def is_leaf(self) -> bool:
         return self.label is not None
@@ -359,14 +522,14 @@ class Tree:
     def __repr__(self) -> str:
         return f"Tree({self.shape!r})"
 
-    def __hash__(self) -> int:
-        return hash(self.shape)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Tree) and self.shape == other.shape
-
     def __lt__(self, other: "Tree") -> bool:
         return self.shape < other.shape
+
+    def __reduce__(self):
+        # unpickling and copying go back through the intern tables
+        if self.label is not None:
+            return (leaf, (self.label,))
+        return (join, (self.left, self.right))
 
     def diamond_text(self) -> str:
         """Human-readable form with an explicit diamond, e.g. ``((Y⋄Y)⋄Y)``."""
@@ -375,7 +538,10 @@ class Tree:
         return f"({self.left.diamond_text()}⋄{self.right.diamond_text()})"  # type: ignore[union-attr]
 
 
-_LEAF_CACHE: Dict[str, Tree] = {}
+# The intern tables: every tree ever made, by label and by (child, child) in
+# both orders.  They live as long as the process.
+_LEAVES: Dict[str, Tree] = {}
+_JOINS: Dict[Tuple[Tree, Tree], Tree] = {}
 
 
 def leaf(label: str) -> Tree:
@@ -384,12 +550,12 @@ def leaf(label: str) -> Tree:
     Labels may not contain ``(``, ``)`` or ``,`` (they appear verbatim in the
     serialization).
     """
-    t = _LEAF_CACHE.get(label)
+    t = _LEAVES.get(label)
     if t is None:
         if any(ch in label for ch in "(),") or not label:
             raise ValueError(f"bad leaf label {label!r}")
-        t = Tree(shape=label, label=label)
-        _LEAF_CACHE[label] = t
+        with _FIRST_SEEN:
+            t = _LEAVES.setdefault(label, Tree(label, label))
     return t
 
 
@@ -397,26 +563,36 @@ def join(t1: Tree, t2: Tree) -> Tree:
     """Join two trees under a new root (the diamond product on shapes).
 
     Commutative by construction: children are stored sorted by serialization,
-    so ``join(t1, t2) == join(t2, t1)`` is the *same* canonical tree.
+    so ``join(t1, t2)`` and ``join(t2, t1)`` are the *same* tree object.
     """
-    if t2.shape < t1.shape:
-        t1, t2 = t2, t1
-    return Tree(
-        shape=f"({t1.shape},{t2.shape})",
-        left=t1,
-        right=t2,
-        leaves=t1.leaves + t2.leaves,
-    )
+    t = _JOINS.get((t1, t2))
+    if t is None:
+        a, b = (t2, t1) if t2.shape < t1.shape else (t1, t2)
+        with _FIRST_SEEN:
+            t = _JOINS.get((t1, t2))
+            if t is None:
+                t = Tree(f"({a.shape},{b.shape})", None, a, b, a.leaves + b.leaves)
+                _JOINS[(t1, t2)] = _JOINS[(t2, t1)] = t
+    return t
+
+
+def _substituted(t: Tree, label: str, replacement: Tree, memo: Dict[Tree, Tree]) -> Tree:
+    s = memo.get(t)
+    if s is None:
+        if t.label is not None:
+            s = replacement if t.label == label else t
+        else:
+            s = join(
+                _substituted(t.left, label, replacement, memo),  # type: ignore[arg-type]
+                _substituted(t.right, label, replacement, memo),  # type: ignore[arg-type]
+            )
+        memo[t] = s
+    return s
 
 
 def substitute_leaf_tree(t: Tree, label: str, replacement: Tree) -> Tree:
     """Replace every leaf carrying ``label`` by ``replacement`` (re-canonicalized)."""
-    if t.is_leaf():
-        return replacement if t.label == label else t
-    return join(
-        substitute_leaf_tree(t.left, label, replacement),  # type: ignore[arg-type]
-        substitute_leaf_tree(t.right, label, replacement),  # type: ignore[arg-type]
-    )
+    return _substituted(t, label, replacement, {})
 
 
 # ---------------------------------------------------------------------------
@@ -489,23 +665,37 @@ class Forest:
 
     def scale(self, c: PolyLike) -> "Forest":
         c = as_poly(c)
-        return Forest({t: p * c for t, p in self._terms.items()})
+        return Forest(_per_coefficient(self._terms, lambda p: p * c))
 
     def map_coeffs(self, fn) -> "Forest":
         """Apply ``fn: Poly -> Poly`` to every coefficient (zeros dropped)."""
-        return Forest({t: fn(p) for t, p in self._terms.items()})
+        return Forest(_per_coefficient(self._terms, fn))
 
     # -- diamond product -------------------------------------------------------
 
     def diamond(self, other: "Forest") -> "Forest":
-        """Bilinear extension of :func:`join`; coefficients multiply."""
+        """Bilinear extension of :func:`join`; coefficients multiply.
+
+        The expansions have far fewer distinct coefficients than trees, so each
+        call keeps one object per distinct coefficient it makes, and multiplies
+        each pair of coefficient objects once.
+        """
         d: Dict[Tree, Poly] = {}
+        products: Dict[Tuple[int, int], Poly] = {}
+        shared: Dict[Poly, Poly] = {}
         for t1, p1 in self._terms.items():
             for t2, p2 in other._terms.items():
                 t = join(t1, t2)
-                p = p1 * p2
+                key = (id(p1), id(p2))
+                p = products.get(key)
+                if p is None:
+                    p = p1 * p2
+                    p = products[key] = shared.setdefault(p, p)
                 q = d.get(t)
-                d[t] = p if q is None else q + p
+                if q is not None:
+                    p = q + p
+                    p = shared.setdefault(p, p)
+                d[t] = p
         return Forest(d)
 
     # -- structural operations -------------------------------------------------
@@ -520,8 +710,9 @@ class Forest:
     def substitute_leaf(self, label: str, replacement: Tree) -> "Forest":
         """Replace every leaf named ``label`` by ``replacement`` in every tree."""
         d: Dict[Tree, Poly] = {}
+        memo: Dict[Tree, Tree] = {}  # shared subtrees are substituted once
         for t, p in self._terms.items():
-            t2 = substitute_leaf_tree(t, label, replacement)
+            t2 = _substituted(t, label, replacement, memo)
             q = d.get(t2)
             d[t2] = p if q is None else q + p
         return Forest(d)
@@ -544,6 +735,16 @@ class Forest:
 
     def __repr__(self) -> str:
         return f"Forest({self.to_text()})"
+
+
+def _per_coefficient(terms: Dict[Tree, Poly], fn) -> Dict[Tree, Poly]:
+    """``{t: fn(p)}``, calling ``fn`` once per coefficient object (forests
+    share them, see ``Forest.diamond``)."""
+    done: Dict[int, Poly] = {}
+    for p in terms.values():
+        if id(p) not in done:
+            done[id(p)] = fn(p)
+    return {t: done[id(p)] for t, p in terms.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -6,22 +6,23 @@ quantities are serialized as "p/q" strings; floats use the shortest decimal
 that round-trips.  Exit codes: 0 success, 1 verify ran but a check failed,
 2 usage error, 3 numeric-domain error, 4 internal error (any other exception).
 
-The exact commands (``expand``, ``levy``, ``cameron-martin``, ``signature``
-and ``verify reorder|levy|cameron-martin``) start without numpy: the solver,
-the simulators and the numeric models are imported inside the commands that
-call them (``bessel``, ``chaos2``, ``riccati``, ``mc`` and the other suites).
+Each command imports only the modules it runs.  The exact commands
+(``expand``, ``levy``, ``cameron-martin``, ``signature`` and ``verify
+reorder|levy|cameron-martin``) start without numpy: the solver, the simulators
+and the numeric models are imported inside the commands that call them
+(``bessel``, ``chaos2``, ``riccati``, ``mc`` and the other suites).  Likewise
+this module imports ``verification``, ``models.levy``, ``models.signature``,
+``csv``, ``inspect`` and ``traceback`` only in the commands or paths that use
+them, because a cold process compiles every package module it imports.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import inspect
 import io
 import json
 import math
 import sys
-import traceback
 from dataclasses import asdict
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -42,16 +43,6 @@ from .expansions import (
     specialize,
     spx_g_expansion,
 )
-from .models.levy import levy_alpha, levy_cgf
-from .models.signature import (
-    cameron_martin_cgf,
-    cameron_martin_cgf_coeffs,
-    cameron_martin_q,
-    diamond_ito,
-    diamond_strat,
-    fawcett_sigma,
-)
-from .verification import SUITES, run_suite
 
 if TYPE_CHECKING:
     from .affine import ForwardVarianceCurve
@@ -104,6 +95,8 @@ def _flatten(prefix: str, value, rows: List[Tuple[str, object]]) -> None:
 
 
 def render_csv(envelope: dict) -> str:
+    import csv
+
     result = _jsonable(envelope["result"])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -171,6 +164,8 @@ def read_config_file(path: str) -> List[Tuple[str, str]]:
 def _read_csv_rows(path: str, what: str, names: Tuple[str, ...]) -> List[List[float]]:
     """Numeric rows with one column per name; skips blank and '#' rows and a
     header row, recognized by all names but the last."""
+    import csv
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
@@ -274,6 +269,8 @@ def cmd_expand(args) -> dict:
 
 
 def cmd_levy(args) -> dict:
+    from .models.levy import levy_alpha, levy_cgf
+
     _flag("order", args.order, 2, "the area series")
     alphas = levy_alpha(args.order)
     partial = levy_cgf(args.T, args.order)
@@ -287,6 +284,8 @@ def cmd_levy(args) -> dict:
 
 
 def cmd_cameron_martin(args) -> dict:
+    from .models.signature import cameron_martin_cgf, cameron_martin_cgf_coeffs, cameron_martin_q
+
     _flag("order", args.order, 1, "the exponent series")
     result = {
         "q": {str(n): v for n, v in cameron_martin_q(args.order).items()},
@@ -338,6 +337,8 @@ def cmd_chaos2(args) -> dict:
 
 
 def cmd_signature(args) -> dict:
+    from .models.signature import diamond_ito, diamond_strat, fawcett_sigma
+
     for w in (args.left, args.right):
         if not w or not w.isdigit():
             raise UsageError(f"words must be nonempty digit strings, got {w!r}")
@@ -450,11 +451,24 @@ def cmd_mc(args) -> dict:
 
 
 VERIFY_FLAGS = ("order", "seed", "paths", "steps")
+# sorted(verification.SUITES), spelled out so that the parser need not import it
+SUITE_NAMES = ("bessel", "cameron-martin", "chaos2", "heston-riccati", "levy", "mc-cross",
+               "reorder")
+# --order's range and purpose for each suite that takes it
+VERIFY_ORDER = {
+    "reorder": (2, DEFAULT_MAX_ORDER_CAP, "the regraded expansion"),
+    "levy": (2, None, "the area series"),
+    "cameron-martin": (1, None, "the exponent series"),
+}
 
 
 def cmd_verify(args) -> Tuple[dict, int]:
+    import inspect
+
+    from .verification import SUITES, run_suite
+
     if args.suite not in SUITES:
-        raise UsageError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
+        raise UsageError(f"unknown suite {args.suite!r}; choose from {list(SUITE_NAMES)}")
     takes = inspect.signature(SUITES[args.suite]).parameters
     kwargs = {f: getattr(args, f) for f in VERIFY_FLAGS if getattr(args, f) is not None}
     for flag in kwargs:
@@ -463,6 +477,9 @@ def cmd_verify(args) -> Tuple[dict, int]:
             raise UsageError(
                 f"suite {args.suite!r} does not take --{flag} (it takes: {accepted})"
             )
+    if args.order is not None:
+        low, high, purpose = VERIFY_ORDER[args.suite]
+        _flag("order", args.order, low, purpose, high)
     if args.steps is not None:
         if args.suite == "heston-riccati":
             _flag("steps", args.steps, MIN_STEPS, "the Riccati solve", MAX_STEPS)
@@ -572,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("verify", help="named cross-check suites")
-    p.add_argument("suite", help=f"one of {sorted(SUITES)}")
+    p.add_argument("suite", help=f"one of {list(SUITE_NAMES)}")
     for flag in VERIFY_FLAGS:
         p.add_argument(f"--{flag}", type=int, default=None,
                        help="passed to suites that take it (default: the suite's)")
@@ -666,6 +683,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # exit 1 is reserved for a failed verification
+        import traceback
+
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return 4

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
-from .algebra import Forest, Poly, PolyLike, join, leaf
+from .algebra import Forest, Poly, PolyLike, Tree, join, leaf
 
 __all__ = [
     "ExpansionResult",
@@ -217,9 +217,9 @@ def specialize(
     Returns:
         A new ExpansionResult with the same order keys.
     """
-    unknown = set(bindings) - {
-        s for f in result.orders.values() for _, p in f for s in p.symbols()
-    } - set(result.symbols)
+    unknown = set(bindings) - set(result.symbols)
+    if unknown:  # a symbol a caller's substitution brought in may still be bound
+        unknown -= {s for f in result.orders.values() for _, p in f for s in p.symbols()}
     if unknown:
         raise ValueError(f"bindings for unknown symbols: {sorted(unknown)}")
     new_orders: Dict[int, Forest] = {}
@@ -233,13 +233,25 @@ def specialize(
     )
 
 
+def _grown_leaves(t: Tree, grown: Dict[Tree, int]) -> int:
+    """Leaf count of ``t`` once each tree in ``grown`` is replaced by a tree of
+    the mapped leaf count (``grown`` also memoizes subtrees)."""
+    n = grown.get(t)
+    if n is None:
+        n = t.leaves if t.label is not None else (
+            _grown_leaves(t.left, grown) + _grown_leaves(t.right, grown)
+        )
+        grown[t] = n
+    return n
+
+
 def reorder(two_variate_k: ExpansionResult) -> ExpansionResult:
     """Regroup a two-letter K expansion by leaf count into a G expansion.
 
     The input must be a K expansion over exactly two labels, the second being
-    the quadratic-variation leaf.  That leaf is substituted by the cherry
-    ``(Y,Y)`` over the first label, all orders are summed, and the result is
-    regraded by leaf count.  Leaf-count bucket n is complete once K orders up
+    the quadratic-variation leaf.  All orders are summed, that leaf is
+    substituted by the cherry ``(Y,Y)`` over the first label, and the result
+    is regraded by leaf count.  Leaf-count bucket n is complete once K orders up
     to n are present (a substituted leaf doubles, so K[m] spreads over leaf
     counts m..2m and bucket n draws on orders ceil(n/2)..n); buckets above
     ``max_order`` would be incomplete and are not emitted.
@@ -255,11 +267,16 @@ def reorder(two_variate_k: ExpansionResult) -> ExpansionResult:
         )
     y_label, qv_label = two_variate_k.alphabet
     cherry = join(leaf(y_label), leaf(y_label))
-    total = Forest.zero()
-    for f in two_variate_k.orders.values():
-        total = total + f.substitute_leaf(qv_label, cherry)
-    buckets = total.grade_by_leaves()
     max_order = two_variate_k.max_order()
+    # only trees that land in a complete bucket are substituted, all orders in
+    # one call, so that subtrees the orders share are rebuilt once
+    grown: Dict[Tree, int] = {leaf(qv_label): cherry.leaves}
+    kept = Forest.zero()
+    for f in two_variate_k.orders.values():
+        kept = kept + Forest(
+            {t: p for t, p in f.terms.items() if _grown_leaves(t, grown) <= max_order}
+        )
+    buckets = kept.substitute_leaf(qv_label, cherry).grade_by_leaves()
     orders = {n: f for n, f in buckets.items() if 2 <= n <= max_order}
     # ensure order keys are contiguous even if a bucket cancelled to zero
     for n in range(2, max_order + 1):

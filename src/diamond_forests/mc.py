@@ -55,6 +55,12 @@ BLOCK_PATHS = 1 << 16
 # Chunks of 16 MiB left tens of MiB in a worker thread's malloc arena, so the
 # peak RSS of a run depended on how the workers' frees interleaved.
 DRAW_CHUNK = 1 << 16
+# Chaos2 contracts at most this many multiply-adds (rows * M^2) per slab.  A
+# larger ``db @ kernel.T`` runs numpy's threaded BLAS inside each of our own
+# workers, and the two thread pools fight: on 2 cores, 2 x 65 536 paths at
+# M = 64 took 0.26 s in 1 024-row chunks and 0.13 s in 64-row slabs (0.54 ->
+# 0.39 s at M = 128; medians of 5), with bit-identical samples.
+CHAOS2_SLAB = 1 << 18
 THREADS_ENV = "DIAMOND_FORESTS_THREADS"
 # each model and the parameter names it reads; any other name is refused
 MODEL_PARAMS = {
@@ -301,6 +307,8 @@ def _sim_chaos2(cfg: SimConfig, rng: np.random.Generator, m: int) -> Dict[str, n
     kernel = np.asarray(cfg.params["kernel"], dtype=float)
     if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
         raise DomainError("chaos kernel must be a square matrix")
+    if kernel.shape[0] < 1:
+        raise DomainError("chaos kernel needs at least one grid point (M >= 1)")
     if not np.all(np.isfinite(kernel)):
         raise DomainError("chaos kernel must be finite")
     if np.any(np.tril(kernel) != 0.0):
@@ -309,7 +317,7 @@ def _sim_chaos2(cfg: SimConfig, rng: np.random.Generator, m: int) -> Dict[str, n
     h = cfg.horizon / M
     sh = math.sqrt(h)
     out = np.empty(m)
-    chunk = max(1, min(m, DRAW_CHUNK // max(M, 1)))
+    chunk = max(1, min(m, DRAW_CHUNK // M, CHAOS2_SLAB // (M * M)))
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
         db = sh * rng.standard_normal((hi - lo, M))

@@ -44,8 +44,10 @@ class Chaos2State:
     """Kernel-plus-scalar state on the discretized simplex.
 
     ``kernel[i, j]`` approximates f(w_i, w_j) at left points w_i = i h,
-    h = T / M, and is strictly upper triangular (support w < v); ``scalar``
-    is the accumulated deterministic part at the evaluation time.
+    h = T / M, and is strictly upper triangular (support w < v): like the
+    sampler, the state refuses any nonzero entry on or below the diagonal,
+    however small.  ``scalar`` is the accumulated deterministic part at the
+    evaluation time.
     """
 
     kernel: np.ndarray
@@ -58,7 +60,7 @@ class Chaos2State:
             raise ValueError("kernel must be a square matrix")
         if k.shape[0] < 1:
             raise ValueError("kernel needs at least one grid point (M >= 1)")
-        if not np.allclose(k, np.triu(k, 1)):
+        if np.any(np.tril(k) != 0.0):
             raise ValueError("kernel must be strictly upper triangular (w < v)")
         object.__setattr__(self, "kernel", np.triu(k, 1))
 

@@ -1,6 +1,9 @@
 """Tests for the tree/forest/polynomial algebra."""
 
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -302,6 +305,127 @@ def test_substitute_is_simultaneous():
     assert p.substitute({"b": B - A * Fraction(1, 2)}) == parse_poly("a^2*b - 1/2*a^3 - 7/2*a + b")
     # b + c + a^2/2 + a cancels term by term under b = -a^2/2, c = -a
     assert parse_poly("b + c + a^2/2 + a").substitute(NAMED_BINDINGS["cancelling"]).is_zero()
+
+
+# --- the integer-numerator ring against the Fraction reference -------------------
+
+
+def _load_fraction_poly():
+    # by path, so that the reference loads under any pytest import mode; the
+    # dataclass machinery looks its module up in sys.modules
+    spec = importlib.util.spec_from_file_location(
+        "fraction_poly", Path(__file__).with_name("fraction_poly.py")
+    )
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)
+    return module.FractionPoly
+
+
+FractionPoly = _load_fraction_poly()
+
+
+def both_rings(draw_monomials, max_terms):
+    """The same polynomial as a ``Poly`` and as a ``FractionPoly``."""
+    return st.dictionaries(draw_monomials, fracs, max_size=max_terms).map(
+        lambda d: (Poly.from_dict(d), FractionPoly.from_dict(d))
+    )
+
+
+def same(p, ref):
+    # ``terms`` in the same order and the same text; == and hash see one
+    # canonical form however the value was reached
+    canonical = Poly(ref.terms)
+    return (p.terms == ref.terms and str(p) == str(ref)
+            and p == canonical and hash(p) == hash(canonical))
+
+
+@settings(max_examples=200)
+@given(both_rings(monomials, 5), both_rings(monomials, 5), st.integers(0, 3), fracs)
+def test_ring_operations_match_the_fraction_reference(pp, qq, n, x):
+    (p, ref_p), (q, ref_q) = pp, qq
+    assert same(p, ref_p)
+    assert same(p + q, ref_p + ref_q)
+    assert same(p - q, ref_p - ref_q)
+    assert same(p * q, ref_p * ref_q)
+    assert same(p * x, ref_p * x) and same(x - p, x - ref_p)
+    assert same(p ** n, ref_p ** n)
+    assert (p + q == q + p) and (p * q == q * p)
+    assert (p == q) == (ref_p == ref_q)
+    assert (p - p).is_zero() and (p == q) <= (hash(p) == hash(q))
+    assert p.symbols() == ref_p.symbols()
+    assert p.is_constant() == ref_p.is_constant()
+
+
+def reference_bindings(bindings):
+    return {s: FractionPoly(v.terms) if isinstance(v, Poly) else v for s, v in bindings.items()}
+
+
+abc_monomials = st.dictionaries(abc, st.integers(1, 3), max_size=3).map(
+    lambda d: tuple(sorted(d.items()))
+)
+
+
+@pytest.mark.parametrize("name", NAMED_BINDINGS)
+@settings(max_examples=60)
+@given(both_rings(abc_monomials, 6))
+def test_substitute_matches_the_fraction_reference(name, pp):
+    p, ref = pp
+    bindings = NAMED_BINDINGS[name]
+    assert same(p.substitute(bindings), ref.substitute(reference_bindings(bindings)))
+
+
+@settings(max_examples=200)
+@given(both_rings(abc_monomials, 6), st.dictionaries(abc, binding_values, max_size=3))
+def test_substitute_matches_the_fraction_reference_on_random_bindings(pp, bindings):
+    p, ref = pp
+    assert same(p.substitute(bindings), ref.substitute(reference_bindings(bindings)))
+
+
+@given(both_rings(monomials, 6), st.lists(st.floats(-2, 2), min_size=7, max_size=7))
+def test_evaluate_matches_the_fraction_reference(pp, xs):
+    p, ref = pp
+    values = dict(zip(["a", "b", "c", "z1", "lambda", "True", "x_2"], xs))
+    # the same terms in the same order: the same float, bit for bit
+    assert p.evaluate(values) == ref.evaluate(values)
+
+
+def test_trees_are_interned_and_compare_by_identity():
+    import copy
+    import pickle
+
+    t = join(join(Y, Z), CHERRY)
+    assert join(CHERRY, join(Z, Y)) is t
+    assert pickle.loads(pickle.dumps(t)) is t and copy.deepcopy(t) is t
+    p = parse_poly("lambda^2/3 - z1")
+    assert pickle.loads(pickle.dumps(p)) == p
+
+
+def test_threads_building_the_same_new_shapes_get_the_same_trees():
+    import threading
+
+    from diamond_forests.expansions import k_expansion
+
+    # labels and symbols no other test uses, so every shape and symbol is new here
+    results = []
+    start = threading.Barrier(6, timeout=60)
+
+    def build():
+        start.wait()
+        results.append(k_expansion(8, alphabet=("S1", "S2"), symbols=("s1", "s2")))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build) for _ in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers) and len(results) == 6
+    # one tree object per shape and one position per symbol: identity equality holds
+    assert all(r == results[0] for r in results)
 
 
 def test_fraction_wire_format():

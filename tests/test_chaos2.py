@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from diamond_forests.errors import DomainError
+from diamond_forests.mc import SimConfig, simulate
 from diamond_forests.models.chaos2 import (
     Chaos2State,
     chaos2_cumulants,
@@ -54,6 +56,17 @@ def test_state_validation():
     c = constant_kernel(2.0, 8)
     with pytest.raises(ValueError):
         a.diamond(c)
+
+
+@pytest.mark.parametrize("entry", [(2, 1), (3, 3)], ids=["below", "diagonal"])
+def test_tiny_entry_on_or_below_the_diagonal_is_refused_by_state_and_sampler(entry):
+    # the state and the sampler refuse the same kernels: no tolerance, no silent zeroing
+    k = constant_kernel(1.0, 4).kernel.copy()
+    k[entry] = 5e-9
+    with pytest.raises(ValueError, match="strictly upper triangular"):
+        Chaos2State(kernel=k, scalar=0.0, T=1.0)
+    with pytest.raises(DomainError, match="strictly upper triangular"):
+        simulate(SimConfig("Chaos2", {"kernel": k}, 1000, 4, 1.0, seed=0))
 
 
 @pytest.mark.parametrize("M", [0, -3])

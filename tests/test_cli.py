@@ -6,6 +6,7 @@ confirms the module entry point itself.
 """
 
 import importlib.resources
+import inspect
 import json
 import math
 import subprocess
@@ -17,6 +18,7 @@ import pytest
 from diamond_forests import cli
 from diamond_forests.expansions import DEFAULT_MAX_ORDER_CAP
 from diamond_forests.mc import MAX_PATHS
+from diamond_forests import verification
 from diamond_forests.verification import Check, SuiteReport
 
 
@@ -348,7 +350,7 @@ def test_verify_forwards_exactly_the_given_flags(monkeypatch):
         calls.append({"steps": steps, "seed": seed})
         return SuiteReport("heston-riccati", [Check("ok", 0.0, 0.0)])
 
-    monkeypatch.setitem(cli.SUITES, "heston-riccati", suite)
+    monkeypatch.setitem(verification.SUITES, "heston-riccati", suite)
     run_json(["verify", "heston-riccati"])
     run_json(["verify", "heston-riccati", "--steps", "64", "--seed", "3"])
     assert calls == [{"steps": 4096, "seed": 7}, {"steps": 64, "seed": 3}]
@@ -495,27 +497,33 @@ def test_out_of_range_flags_name_the_flag(argv, flag, keyword, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, low, high",
+    "argv, low, high, code_at_low",
     [
-        (["expand"], 1, DEFAULT_MAX_ORDER_CAP),
-        (["expand", "--kind", "G"], 2, DEFAULT_MAX_ORDER_CAP),
-        (["expand", "--kind", "SPX"], 2, DEFAULT_MAX_ORDER_CAP),
-        (["levy"], 2, None),
-        (["bessel", "--delta", "2", "--lambda", "0.1", "--T", "1"], 2, None),
-        (["cameron-martin"], 1, None),
-        (["chaos2", "--flat", "1", "--grid", "8"], 1, None),
+        (["expand"], 1, DEFAULT_MAX_ORDER_CAP, 0),
+        (["expand", "--kind", "G"], 2, DEFAULT_MAX_ORDER_CAP, 0),
+        (["expand", "--kind", "SPX"], 2, DEFAULT_MAX_ORDER_CAP, 0),
+        (["levy"], 2, None, 0),
+        (["bessel", "--delta", "2", "--lambda", "0.1", "--T", "1"], 2, None, 0),
+        (["cameron-martin"], 1, None, 0),
+        (["chaos2", "--flat", "1", "--grid", "8"], 1, None, 0),
+        (["verify", "reorder"], 2, DEFAULT_MAX_ORDER_CAP, 0),
+        # the series cut at order 2 runs, and misses -log cos T by far more than 1e-8
+        (["verify", "levy"], 2, None, 1),
+        (["verify", "cameron-martin"], 1, None, 0),
     ],
     ids=["expand-K", "expand-G", "expand-SPX", "levy", "bessel", "cameron-martin",
-         "chaos2"],
+         "chaos2", "verify-reorder", "verify-levy", "verify-cameron-martin"],
 )
-def test_order_outside_the_command_range_names_the_flag(argv, low, high, capsys):
+def test_order_outside_the_command_range_names_the_flag(argv, low, high, code_at_low, capsys):
     refused = [(low - 1, f">= {low}")] + ([(high + 1, f"<= {high}")] if high else [])
     for order, bound in refused:
         assert cli.main([*argv, "--order", str(order)]) == 2
         err = capsys.readouterr().err
         assert f"--order must be {bound}" in err, err
         assert "n_max" not in err and "max_order" not in err
-    run_json([*argv, "--order", str(low)])
+    out, code = cli.run([*argv, "--order", str(low)])
+    assert code == code_at_low, out
+    json.loads(out)
 
 
 @pytest.mark.parametrize("suite", ["levy", "bessel"])
@@ -542,7 +550,7 @@ def test_verify_failure_sets_exit_code(monkeypatch):
     def failing_suite():
         return SuiteReport("reorder", [Check("forced failure", 1.0, 0.0)])
 
-    monkeypatch.setitem(cli.SUITES, "reorder", failing_suite)
+    monkeypatch.setitem(verification.SUITES, "reorder", failing_suite)
     out, code = cli.run(["verify", "reorder"])
     assert code == 1
     doc = json.loads(out)
@@ -622,6 +630,27 @@ def _loads_no_numpy(code):
 def test_exact_command_runs_without_numpy(name):
     argv = EXACT_COMMANDS[name]
     _loads_no_numpy(f"import sys; from diamond_forests import cli; assert cli.main({argv!r}) == 0")
+
+
+@pytest.mark.parametrize("name", ["expand-K", "expand-G-bind", "levy"])
+def test_commands_without_suites_load_no_verification_or_signature(name):
+    argv = EXACT_COMMANDS[name]
+    code = (f"import sys; from diamond_forests import cli; assert cli.main({argv!r}) == 0; "
+            "assert 'diamond_forests.verification' not in sys.modules; "
+            "assert 'diamond_forests.models.signature' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_help_names_every_suite():
+    from diamond_forests import verification
+
+    assert cli.SUITE_NAMES == tuple(sorted(verification.SUITES))
+    assert set(cli.VERIFY_ORDER) == {
+        name for name, suite in verification.SUITES.items()
+        if "order" in inspect.signature(suite).parameters
+    }
 
 
 def test_models_and_verification_import_without_numpy():

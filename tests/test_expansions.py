@@ -93,12 +93,22 @@ def test_k_expansion_visits_each_unordered_pair_once(monkeypatch):
         ("K", 12, "2a22074354984b17cd31872f1c97cf349234add00d652877828907c76b90c516"),
         ("G", 10, "5d1697f4f680b2816bb7a230907abd6d62b3317ee8e228c98835ffbfe09a711c"),
         ("SPX", 8, "d3bc1c5418ae81d30220a5b9914805ecdc775f8db37ddecf35596d16940b8549"),
+        ("SPX", 9, "6817a100144c1ce010656072ee8d006e05cfd90afb4f107edadeb089fca64e95"),
     ],
 )
 def test_expand_output_is_pinned(kind, order, digest):
     out, code = cli.run(["expand", "--kind", kind, "--order", str(order)])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_two_letter_reorder_text_is_pinned():
+    # pinned from the Fraction coefficient ring
+    regraded = reorder(k_expansion(9, alphabet=("Y", "QV"), symbols=("a", "b")))
+    text = "".join(f"{n}: {f.to_text()}\n" for n, f in regraded.orders.items())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "dd24e12641172da2b3a85b4d90ca830b8551daf63736445207225b488e2bf13f"
+    )
 
 
 @pytest.mark.parametrize(

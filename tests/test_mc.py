@@ -332,13 +332,16 @@ def test_chaos2_simulator_matches_recursion():
 
 def test_samples_do_not_depend_on_the_chunk_size(monkeypatch):
     F = kernel_from_function(lambda s, u: 1.0 + 0.5 * s * u, 1.0, 16)
-    default = mc.DRAW_CHUNK
+    default, default_slab = mc.DRAW_CHUNK, mc.CHAOS2_SLAB
     for model, params in (("Chaos2", {"kernel": F.kernel}), ("LevyArea", {}), ("Heston", HESTON)):
         cfg = SimConfig(model, params, 5000, 16, 1.0, seed=3)
         monkeypatch.setattr(mc, "DRAW_CHUNK", default)
+        monkeypatch.setattr(mc, "CHAOS2_SLAB", default_slab)
         columns = simulate(cfg).columns
         for chunk in (1, 16 * 7, 1 << 21):
             monkeypatch.setattr(mc, "DRAW_CHUNK", chunk)
+            # Chaos2's slab caps its rows too: 1, 7 and all rows at M = 16, as the chunk
+            monkeypatch.setattr(mc, "CHAOS2_SLAB", chunk * 16)
             for name, x in simulate(cfg).columns.items():
                 # same draws in the same order; a one-row chunk may round differently
                 gap = np.max(np.abs(x - columns[name]))
@@ -351,6 +354,9 @@ def test_chaos2_kernel_validation():
         simulate(cfg)
     cfg = SimConfig("Chaos2", {"kernel": np.ones((2, 3))}, 1000, 2, 1.0, seed=0)
     with pytest.raises(DomainError):
+        simulate(cfg)
+    cfg = SimConfig("Chaos2", {"kernel": np.zeros((0, 0))}, 1000, 2, 1.0, seed=0)
+    with pytest.raises(DomainError, match="M >= 1"):
         simulate(cfg)
 
 
