@@ -44,13 +44,15 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .algebra import Forest, Tree
 from .errors import MAX_STEPS, MIN_STEPS, DomainError, require_finite
-from .expansions import _spx_seeds, cumulant_states, spx_g_expansion
+from .recursion import _spx_seeds, cumulant_states
+
+if TYPE_CHECKING:  # a tree is read through its attributes; only the forest check builds one
+    from .algebra import Forest, Tree
 
 __all__ = [
     "KernelSpec",
@@ -712,7 +714,7 @@ def spx_exponent(
 
     The diamond is bilinear in the loadings, so every order is one
     ``AffineState`` and ``cumulant_states`` runs them from the seeds of the
-    forests (``expansions._spx_seeds``): the linear state L = aX + c zeta,
+    forests (``recursion._spx_seeds``): the linear state L = aX + c zeta,
     with (z, w) = (a, c kappa_bar), at order 1 and 1/2 L<>L + (b - a/2)(X<>X)
     at order 2.  Above them the pair (1, k-1) is the linear term
 
@@ -743,6 +745,8 @@ def spx_exponent(
 @lru_cache(maxsize=1)
 def _spx_forest_seed() -> Forest:
     """Order 2 of ``spx_g_expansion``, built once: forests are immutable."""
+    from .expansions import spx_g_expansion
+
     return spx_g_expansion(2).orders[2]
 
 

@@ -6,14 +6,21 @@ quantities are serialized as "p/q" strings; floats use the shortest decimal
 that round-trips.  Exit codes: 0 success, 1 verify ran but a check failed,
 2 usage error, 3 numeric-domain error, 4 internal error (any other exception).
 
-Each command imports only the modules it runs.  The exact commands
-(``expand``, ``levy``, ``cameron-martin``, ``signature`` and ``verify
-reorder|levy|cameron-martin``) start without numpy: the solver, the simulators
-and the numeric models are imported inside the commands that call them
-(``bessel``, ``chaos2``, ``riccati``, ``mc`` and the other suites).  Likewise
-this module imports ``verification``, ``models.levy``, ``models.signature``,
-``csv``, ``inspect`` and ``traceback`` only in the commands or paths that use
-them, because a cold process compiles every package module it imports.
+Each command imports only the modules it runs, because a cold process
+compiles every package module it imports:
+
+* numpy is loaded by ``chaos2``, ``riccati``, ``mc`` and ``verify
+  bessel|chaos2|heston-riccati|mc-cross`` (and ``verify levy --paths N``),
+  inside the commands that call the solver, the simulators or the numeric
+  models.  ``bessel`` runs on ``math`` and every exact command starts
+  without numpy.
+* The forest algebra (``algebra``, ``expansions``) is loaded only by
+  ``expand``, ``verify reorder`` and ``verify heston-riccati``.  The other
+  commands run the recursion from ``recursion`` alone.
+
+Likewise this module imports ``verification``, ``models.levy``,
+``models.signature``, ``csv``, ``inspect``, ``dataclasses`` and
+``traceback`` only in the commands or paths that use them.
 """
 
 from __future__ import annotations
@@ -23,25 +30,16 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict
-from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .algebra import Tree, format_fraction, parse_poly
 from .errors import (
+    DEFAULT_MAX_ORDER_CAP,
     MAX_CUMULANT_ORDER,
     MAX_PATHS,
     MAX_STEPS,
     MIN_PATHS,
     MIN_STEPS,
     DomainError,
-)
-from .expansions import (
-    DEFAULT_MAX_ORDER_CAP,
-    g_expansion,
-    k_expansion,
-    specialize,
-    spx_g_expansion,
 )
 
 if TYPE_CHECKING:
@@ -60,11 +58,14 @@ class UsageError(Exception):
 
 
 def _jsonable(value):
-    if isinstance(value, Fraction):
-        return format_fraction(value)
-    if isinstance(value, Tree):
+    # a Fraction, a Tree or a numpy value exists only once a command has
+    # imported its module, so none of them is imported here
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(value, fractions.Fraction):
+        return str(value)  # "p" or "p/q", as ``algebra.format_fraction`` writes it
+    algebra = sys.modules.get("diamond_forests.algebra")
+    if algebra is not None and isinstance(value, algebra.Tree):
         return value.diamond_text()
-    # a numpy value exists only once a command has imported numpy
     np = sys.modules.get("numpy")
     if np is not None and isinstance(value, np.generic):
         return _jsonable(value.item())
@@ -238,6 +239,9 @@ def read_curve_csv(path: str) -> ForwardVarianceCurve:
 
 
 def cmd_expand(args) -> dict:
+    from .algebra import parse_poly
+    from .expansions import g_expansion, k_expansion, specialize, spx_g_expansion
+
     builders = {"K": k_expansion, "G": g_expansion, "SPX": spx_g_expansion}
     low = 1 if args.kind == "K" else 2
     _flag("order", args.order, low, f"the {args.kind} expansion", DEFAULT_MAX_ORDER_CAP)
@@ -400,6 +404,8 @@ def cmd_riccati(args) -> dict:
 
 
 def cmd_mc(args) -> dict:
+    from dataclasses import asdict
+
     from .mc import MODEL_PARAMS, SimConfig, empirical_cumulants, empirical_mgf, simulate
 
     params: Dict[str, object] = {}

@@ -5,9 +5,10 @@ domain, a Riccati solution that blows up, invalid model parameters) as
 opposed to usage errors; the CLI maps it to exit code 3.  ``require_finite``
 is the shared refusal of non-finite inputs, a usage error (exit code 2).
 
-The bounds on grid steps, path counts and cumulant orders live here, free of
-numpy, so the command line can check its flags without loading the numeric
-stack; :mod:`.affine` and :mod:`.mc` re-export them under the same names.
+The bounds on grid steps, path counts, cumulant and expansion orders live
+here, free of numpy and of the exact algebra, so the command line can check
+its flags without loading either; :mod:`.affine`, :mod:`.mc` and
+:mod:`.expansions` re-export them under the same names.
 """
 
 import math
@@ -18,6 +19,10 @@ MIN_PATHS = 100
 # 256 blocks of 2^16 paths: Heston's three float64 columns then take 384 MiB
 MAX_PATHS = 1 << 24
 MAX_CUMULANT_ORDER = 6
+# Highest forest expansion order.  Shape counts grow like Wedderburn-Etherington
+# numbers, so even order 12 is trivial; the cap just catches accidentally huge
+# requests.
+DEFAULT_MAX_ORDER_CAP = 64
 
 
 class DomainError(ValueError):

@@ -1,16 +1,14 @@
 """Forest expansions of conditional cumulant generating functions.
 
-One quadratic recursion generates everything here, over any state family
-closed under addition, rational scaling and the commutative diamond product
-(formal forests with exact polynomial coefficients, the Levy J-family, chaos2
-kernels, affine loadings).  :func:`cumulant_states` takes seed states for the
-lowest orders; above the seeds it forms
+One quadratic recursion generates everything here: ``cumulant_states`` of
+:mod:`.recursion` (re-exported), run over any state family closed under
+addition, rational scaling and the commutative diamond product.  Above its
+seed orders it forms
 
-    X[m] = sum_{j<k, j+k=m} X[j] <> X[k] + 1/2 X[m/2] <> X[m/2],
+    X[m] = sum_{j<k, j+k=m} X[j] <> X[k] + 1/2 X[m/2] <> X[m/2].
 
-visiting each unordered pair {j, k} once instead of summing every ordered
-pair and halving.  The expansions are configurations of it, each one seed
-dict:
+Here the states are formal forests with exact polynomial coefficients, and
+the expansions are configurations of the recursion, each one seed dict:
 
 * the cumulant recursion ``K[1] = sum of leaves``,
   ``K[n+1] = 1/2 * sum_{k=1..n} K[k] <> K[n+1-k]`` — ``n! * K[n]`` is the
@@ -28,11 +26,12 @@ regrouping by leaf count reproduces the G expansion order by order, exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .algebra import Forest, Poly, PolyLike, Tree, join, leaf
+from .errors import DEFAULT_MAX_ORDER_CAP
+# the recursion and its seeds live in ``recursion``; re-exported here
+from .recursion import HALF, _exponent_seeds, _spx_seeds, cumulant_states  # noqa: F401
 
 __all__ = [
     "ExpansionResult",
@@ -45,26 +44,51 @@ __all__ = [
     "DEFAULT_MAX_ORDER_CAP",
 ]
 
-# Shape counts grow like Wedderburn-Etherington numbers, so even order 12 is
-# trivial; the cap just catches accidentally huge requests.
-DEFAULT_MAX_ORDER_CAP = 64
 
-HALF = Fraction(1, 2)
-
-
-@dataclass(frozen=True, eq=True)
 class ExpansionResult:
     """Orders of a forest expansion plus the request metadata.
 
     ``orders`` maps order index to :class:`Forest`; K expansions carry orders
     1..max_order, G-type expansions 2..max_order.  Forests may be structurally
     zero (e.g. after a specializing substitution that cancels everything).
+    Immutable; ``==`` compares all four fields.
     """
 
-    kind: str  # "K" | "G" | "SPXG"
-    alphabet: Tuple[str, ...]
-    symbols: Tuple[str, ...]
-    orders: Dict[int, Forest] = field(compare=True)
+    __slots__ = ("kind", "alphabet", "symbols", "orders")
+
+    def __init__(
+        self,
+        kind: str,  # "K" | "G" | "SPXG"
+        alphabet: Tuple[str, ...],
+        symbols: Tuple[str, ...],
+        orders: Dict[int, Forest],
+    ):
+        for name, value in zip(self.__slots__, (kind, alphabet, symbols, orders)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: ExpansionResult is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: ExpansionResult is immutable")
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.alphabet, self.symbols, self.orders)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ExpansionResult:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # ``orders`` is a dict
+
+    def __reduce__(self):
+        return (ExpansionResult, self._fields())
+
+    def __repr__(self) -> str:
+        return "ExpansionResult(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())
+        ) + ")"
 
     def max_order(self) -> int:
         return max(self.orders) if self.orders else 0
@@ -80,44 +104,6 @@ def _check_order(max_order: int, low: int) -> None:
         raise ValueError(f"max_order must be >= {low}, got {max_order}")
     if max_order > DEFAULT_MAX_ORDER_CAP:
         raise ValueError(f"max_order {max_order} exceeds cap {DEFAULT_MAX_ORDER_CAP}")
-
-
-def cumulant_states(seeds: Mapping[int, Any], n_max: int) -> Dict[int, Any]:
-    """Run the cumulant recursion over any diamond-closed state family.
-
-    States need ``+``, ``scale(q)`` and a commutative ``diamond``.  Orders
-    1..max(seeds) are the seeds themselves; every higher order m is the sum
-    over unordered pairs j <= k with j + k = m, the diagonal pair weighted by
-    1/2.
-
-    Args:
-        seeds: order -> state for the orders 1..s.
-        n_max: highest order to generate.
-
-    Returns:
-        dict order -> state for the seed orders and every order up to ``n_max``.
-    """
-    states: Dict[int, Any] = dict(seeds)
-    for m in range(max(seeds) + 1, n_max + 1):
-        pairs = [states[j].diamond(states[m - j]) for j in range(1, (m + 1) // 2)]
-        if m % 2 == 0:
-            pairs.append(states[m // 2].diamond(states[m // 2]).scale(HALF))
-        states[m] = sum(pairs[1:], pairs[0])
-    return states
-
-
-def _exponent_seeds(linear: Any, price: Any, beta: Any) -> Dict[int, Any]:
-    """Seeds ``{1: L, 2: 1/2 L<>L + beta (P<>P)}`` of a joint exponent with
-    linear part L and price leaf P, in any state family: above order 2 the
-    pair (1, m-1) of the recursion is the exponent's linear term L <> X[m-1]."""
-    return {1: linear, 2: linear.diamond(linear).scale(HALF) + price.diamond(price).scale(beta)}
-
-
-def _spx_seeds(price: Any, zeta: Any, a: Any, b: Any, c: Any) -> Dict[int, Any]:
-    """SPX seeds for weights (a, b, c) on (price, quadratic variation, curve):
-    L = a P + c zeta and beta = b - a/2, so order 2 is
-    (a(a-1)/2 + b)(P<>P) + ac (P<>zeta) + c^2/2 (zeta<>zeta)."""
-    return _exponent_seeds(price.scale(a) + zeta.scale(c), price, b - a * HALF)
 
 
 def k_expansion(

@@ -444,9 +444,14 @@ def empirical_cumulants(
 
     That standard error is estimated from the same sample, so on heavy tails
     it is small exactly when the plug-in cumulant is low, and a 5-SE gate on
-    order 6 fails on correct samples: the 128-step Levy area on 131 072 paths,
-    against its exact kappa_6 = 2 * 5! * sum_k s_k^6 (``_levy_weights``), read
-    |z| > 5 about once in 500-600 seeded samples, worst z = -6.0.
+    order 6 fails on correct samples.  The 128-step Levy area on 131 072
+    paths, T in [0.5, 1.5], against its exact kappa_6 = 2 * 5! * sum_k s_k^6
+    (``_levy_weights``): over 4 000 seeded samples z fell below -5 in 11
+    (worst -7.4) and below -3 in about 4%, never above +3.  The SE of the
+    exact law does not mend this, because kappa_6-hat is itself skewed at
+    this n: with it, 2 000 of those samples reached z = +5.7 (1.1% above +3).
+    Order 4 stayed inside |z| < 5 with either SE (worst -4.8 with this one,
+    3.5 with the exact one).
     """
     if not 1 <= max_order <= MAX_CUMULANT_ORDER:
         raise ValueError(f"max_order must be between 1 and {MAX_CUMULANT_ORDER}")

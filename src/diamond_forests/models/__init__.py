@@ -2,8 +2,9 @@
 
 Each submodule provides a state type closed under the diamond product for a
 concrete process, so the cumulant recursion
-:func:`diamond_forests.expansions.cumulant_states` can be run with exact or
-grid-discretized states instead of formal trees:
+:func:`diamond_forests.recursion.cumulant_states` can be run with exact or
+grid-discretized states instead of formal trees (that module loads neither
+numpy nor the forest algebra):
 
 * :mod:`.brownian` — Brownian motion with drift; stopped Brownian motion.
 * :mod:`.levy` — planar Brownian area via the closed J-family.

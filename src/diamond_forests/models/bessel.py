@@ -30,12 +30,15 @@ boundary.  The constant-dimension closed form is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Union
-
-import numpy as np
+from itertools import accumulate
+from typing import TYPE_CHECKING, Callable, Dict, Sequence, Union
 
 from ..errors import DomainError, require_finite
+
+if TYPE_CHECKING:  # the closed form and the Dirac series run on math alone
+    import numpy as np
 
 __all__ = [
     "BesselGamma",
@@ -46,7 +49,7 @@ __all__ = [
     "euler_average",
 ]
 
-MuSpec = Union[Callable[[np.ndarray], np.ndarray], str]
+MuSpec = Union[Callable[["np.ndarray"], "np.ndarray"], str]
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,8 @@ class BesselGamma:
 
 def _cumtrapz_from_right(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """int_s^T f(r) dr on the grid by composite trapezoid, zero at T."""
+    import numpy as np
+
     df = np.diff(grid) * 0.5 * (values[1:] + values[:-1])
     out = np.zeros_like(values)
     out[:-1] = df[::-1].cumsum()[::-1]
@@ -93,6 +98,8 @@ def bessel_gamma(
         raise DomainError(f"need t < T, got t={t}, T={T}")
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
+    import numpy as np
+
     s = np.linspace(t, T, grid)
     gammas: Dict[int, np.ndarray] = {}
     if isinstance(mu, str):
@@ -119,6 +126,8 @@ def bessel_gamma(
 
 def psi_series(state: BesselGamma, lam: float) -> np.ndarray:
     """Partial sum psi = sum (-lambda)^{n/2} Gamma_n over the stored orders."""
+    import numpy as np
+
     out = np.zeros_like(state.grid)
     for n, g in state.gammas.items():
         out += (-lam) ** (n // 2) * g
@@ -133,12 +142,12 @@ def euler_average(partial_sums: Sequence[float]) -> float:
     boundary-oscillating alternating series it returns the Abel sum, with
     geometric error decay in the number of terms.
     """
-    s = np.asarray(partial_sums, dtype=float)
-    if s.size == 0:
+    s = [float(v) for v in partial_sums]
+    if not s:
         raise ValueError("no partial sums to average")
-    while s.size > 1:
-        s = 0.5 * (s[:-1] + s[1:])
-    return float(s[0])
+    while len(s) > 1:
+        s = [0.5 * (u + v) for u, v in zip(s, s[1:])]
+    return s[0]
 
 
 def bessel_laplace(x: float, delta: float, lam: float, T: float) -> float:
@@ -152,7 +161,7 @@ def bessel_laplace(x: float, delta: float, lam: float, T: float) -> float:
     if x < 0 or delta < 0 or T <= 0:
         raise DomainError("need x >= 0, delta >= 0, T > 0")
     z = 1.0 + 2.0 * lam * T
-    return z ** (-delta / 2.0) * np.exp(-lam * x / z)
+    return z ** (-delta / 2.0) * math.exp(-lam * x / z)
 
 
 def bessel_laplace_series(
@@ -181,14 +190,9 @@ def bessel_laplace_series(
     # log E = (x/2) psi(0) + (delta/2) int_0^T psi(r) dr, per-order terms:
     #   psi(0):   (-lam)^{k+1} 2^{k+1} T^k
     #   integral: (-lam)^{k+1} 2^{k+1} T^{k+1} / (k+1)
-    psi_terms = np.array(
-        [(-lam) ** (k + 1) * 2.0 ** (k + 1) * T**k for k in range(orders)]
+    terms = (
+        0.5 * x * ((-lam) ** (k + 1) * 2.0 ** (k + 1) * T**k)
+        + 0.5 * delta * ((-lam) ** (k + 1) * 2.0 ** (k + 1) * T ** (k + 1) / (k + 1))
+        for k in range(orders)
     )
-    int_terms = np.array(
-        [
-            (-lam) ** (k + 1) * 2.0 ** (k + 1) * T ** (k + 1) / (k + 1)
-            for k in range(orders)
-        ]
-    )
-    log_partials = np.cumsum(0.5 * x * psi_terms + 0.5 * delta * int_terms)
-    return float(np.exp(euler_average(log_partials)))
+    return math.exp(euler_average(list(accumulate(terms))))

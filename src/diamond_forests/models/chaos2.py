@@ -23,12 +23,12 @@ and deliberately kept separate (the tests play them against each other).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, isfinite
 from typing import Callable, List
 
 import numpy as np
 
-from ..expansions import cumulant_states
+from ..recursion import cumulant_states
 
 __all__ = [
     "Chaos2State",
@@ -47,7 +47,9 @@ class Chaos2State:
     h = T / M, and is strictly upper triangular (support w < v): like the
     sampler, the state refuses any nonzero entry on or below the diagonal,
     however small.  ``scalar`` is the accumulated deterministic part at the
-    evaluation time.
+    evaluation time.  ``+``, ``scale`` and ``diamond`` of valid states build
+    strictly upper triangular kernels by construction, so their results skip
+    the check.
     """
 
     kernel: np.ndarray
@@ -63,6 +65,15 @@ class Chaos2State:
         if np.any(np.tril(k) != 0.0):
             raise ValueError("kernel must be strictly upper triangular (w < v)")
         object.__setattr__(self, "kernel", np.triu(k, 1))
+
+    @classmethod
+    def _built(cls, kernel: np.ndarray, scalar: float, T: float) -> "Chaos2State":
+        """A state around a strictly upper triangular ``kernel``, unchecked and
+        not copied (no state writes to its kernel)."""
+        state = object.__new__(cls)
+        for name, value in (("kernel", kernel), ("scalar", scalar), ("T", T)):
+            object.__setattr__(state, name, value)
+        return state
 
     @property
     def M(self) -> int:
@@ -80,27 +91,29 @@ class Chaos2State:
 
     def __add__(self, other: "Chaos2State") -> "Chaos2State":
         self._check_grid(other)
-        return Chaos2State(
-            kernel=self.kernel + other.kernel, scalar=self.scalar + other.scalar, T=self.T
-        )
+        return Chaos2State._built(self.kernel + other.kernel, self.scalar + other.scalar, self.T)
 
     def scale(self, q) -> "Chaos2State":
-        return Chaos2State(kernel=self.kernel * float(q), scalar=self.scalar * float(q), T=self.T)
+        q = float(q)
+        if not isfinite(q):  # 0 * q below the diagonal would not stay 0
+            raise ValueError(f"scale factor must be finite, got {q}")
+        return Chaos2State._built(self.kernel * q, self.scalar * q, self.T)
 
     def diamond(self, other: "Chaos2State") -> "Chaos2State":
         """Diamond of two chaos states on matching grids.
 
         Kernel: the symmetrized one-variable contraction restricted to the
-        strict upper triangle; scalar: the full simplex inner product <f, g>
-        by left-point quadrature.
+        strict upper triangle, h (X + X^T) with the one product X = F G^T
+        (G F^T is its transpose); scalar: the full simplex inner product
+        <f, g> by left-point quadrature.
         """
         self._check_grid(other)
         F, G = self.kernel, other.kernel
         h = self.h
-        mixed = h * (F @ G.T + G @ F.T)
-        kernel = np.triu(mixed, 1)
+        X = F @ G.T
+        kernel = np.triu(h * (X + X.T), 1)
         scalar = float(h * h * np.sum(F * G))
-        return Chaos2State(kernel=kernel, scalar=scalar, T=self.T)
+        return Chaos2State._built(kernel, scalar, self.T)
 
 
 def constant_kernel(T: float, M: int, value: float = 1.0) -> Chaos2State:
@@ -130,7 +143,7 @@ def chaos2_cumulants(f: Chaos2State, n_max: int) -> List[float]:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    first = Chaos2State(kernel=f.kernel, scalar=0.0, T=f.T)
+    first = Chaos2State._built(f.kernel, 0.0, f.T)
     states = cumulant_states({1: first}, n_max)
     return [factorial(n) * states[n].scalar for n in range(1, n_max + 1)]
 

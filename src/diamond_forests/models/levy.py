@@ -25,7 +25,7 @@ from math import pi
 from typing import Dict, Mapping
 
 from ..errors import DomainError, require_finite
-from ..expansions import cumulant_states
+from ..recursion import cumulant_states
 
 __all__ = [
     "LevyState",

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..algebra import format_fraction
 from ..errors import DomainError, require_finite
-from ..expansions import cumulant_states
+from ..recursion import cumulant_states
 from .levy import LevyState
 
 __all__ = [
@@ -163,7 +162,8 @@ class SigExpr:
 
     def to_json_list(self) -> list:
         return [
-            {"coeff": format_fraction(c), "words": list(words), "dt_power": _half_power(p)}
+            # str of a Fraction is "p" or "p/q", as ``algebra.format_fraction`` writes it
+            {"coeff": str(c), "words": list(words), "dt_power": _half_power(p)}
             for (words, p), c in self.terms
         ]
 

@@ -8,8 +8,10 @@ tolerance 0.
 The exact suites (``reorder``, ``cameron-martin``, and ``levy`` without Monte
 Carlo) run on rational arithmetic alone; the numeric suites import numpy, the
 solver, the simulators and their models inside their own bodies, so running
-an exact suite never loads them.  The exact models load the same way, so
-``reorder`` loads neither ``models.levy`` nor ``models.signature``.
+an exact suite never loads them.  The exact models and the forest algebra
+load the same way: ``reorder`` loads neither ``models.levy`` nor
+``models.signature``, and ``chaos2`` loads neither ``algebra`` nor
+``expansions``.
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence
-
-from .algebra import catalan, join, leaf, parse_poly, wedderburn_etherington
-from .expansions import g_expansion, k_expansion, reorder, specialize, spx_g_expansion
 
 __all__ = [
     "Check",
@@ -100,6 +99,9 @@ def log_cosh_taylor_coefficients(order: int) -> Dict[int, Fraction]:
 
 def suite_reorder(order: int = 8, kill_order: int = 10) -> SuiteReport:
     """Expansion engine: shape counts, coefficient sums, regrading, cancellations."""
+    from .algebra import catalan, parse_poly, wedderburn_etherington
+    from .expansions import g_expansion, k_expansion, reorder, specialize, spx_g_expansion
+
     checks: List[Check] = []
 
     wedderburn = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
@@ -263,12 +265,7 @@ def suite_chaos2(
     """Grid recursion vs Richardson limits and the eigenvalue oracle."""
     import numpy as np
 
-    from .models.chaos2 import (
-        chaos2_cumulants,
-        constant_kernel,
-        eigenvalue_cumulants,
-        kernel_from_function,
-    )
+    from .models.chaos2 import Chaos2State, chaos2_cumulants, constant_kernel, eigenvalue_cumulants
 
     checks: List[Check] = []
     sizes = tuple(sizes)
@@ -291,20 +288,18 @@ def suite_chaos2(
     checks.append(Check("flat-kernel Richardson slope within [0.7, 1.3]", worst_slope, 0.3))
     checks.append(Check("flat-kernel extrapolated cumulants vs 1/2, 1, 3", worst_extrap, 5e-3))
 
+    def cosine_kernel(coeffs, M):
+        # f(w, v) = sum_{p,q} c[p, q] cos(pi p w) cos(pi q v) at the left points
+        # w_i = i / M, sampled as the separable product C c C^T
+        C = np.cos(np.pi * np.arange(3) * (np.arange(M) * (1.0 / M))[:, None])
+        return Chaos2State(kernel=np.triu(C @ coeffs @ C.T, 1), scalar=0.0, T=1.0)
+
     worst = 0.0
     for i in range(n_kernels):
         rng = np.random.default_rng(seed + i)
         coeffs = rng.uniform(-1.0, 1.0, size=(3, 3))
-
-        def fn(s, u, c=coeffs):
-            out = np.zeros_like(s)
-            for p in range(3):
-                for q in range(3):
-                    out = out + c[p, q] * np.cos(np.pi * p * s) * np.cos(np.pi * q * u)
-            return out
-
-        coarse = kernel_from_function(fn, 1.0, sizes[0])
-        fine = kernel_from_function(fn, 1.0, sizes[1])
+        coarse = cosine_kernel(coeffs, sizes[0])
+        fine = cosine_kernel(coeffs, sizes[1])
         rec_c = chaos2_cumulants(coarse, 3)
         rec_f = chaos2_cumulants(fine, 3)
         eig_c = eigenvalue_cumulants(coarse, 3)
@@ -334,6 +329,7 @@ def suite_heston_riccati(steps: int = 4096) -> SuiteReport:
         solve_riccati,
         tree_value,
     )
+    from .algebra import join, leaf
 
     checks: List[Check] = []
     kern = KernelSpec.exponential(nu=0.3, lam=1.0)

@@ -36,6 +36,9 @@ WORKLOADS_MODULE = _workloads_module()
         ("cli-cold", ("mc-heston",)),
         # the heaviest forest cell: order 6 with c != 0, as the benchmark times it
         ("affine-exponent", ("power", False, 2048, 6)),
+        # the cold commands that now start without numpy or the forest algebra
+        ("cli-cold", ("bessel",)),
+        ("cli-cold", ("verify-chaos2",)),
     ],
 )
 def test_workload_cell_runs_and_passes_its_check(name, cell):

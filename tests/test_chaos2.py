@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diamond_forests.errors import DomainError
 from diamond_forests.mc import SimConfig, simulate
@@ -176,3 +178,58 @@ def test_eigenvalue_route_constant_kernel_is_rank_one_limit():
     assert ke[1] == pytest.approx(0.5, abs=5e-3)
     assert ke[2] == pytest.approx(1.0, abs=2e-2)
     assert ke[3] == pytest.approx(3.0, abs=8e-2)
+
+
+# ---------------------------------------------------------------------------
+# invariants of the states that +, scale and diamond build without re-checking
+
+
+def two_product_diamond(f: Chaos2State, g: Chaos2State):
+    """Reference diamond with both contraction products, h (F G^T + G F^T)."""
+    F, G, h = f.kernel, g.kernel, f.h
+    return np.triu(h * (F @ G.T + G @ F.T), 1), float(h * h * np.sum(F * G))
+
+
+@st.composite
+def state_pairs(draw):
+    """Two states on one grid: M in 1..12, entries in [-1, 1] above the diagonal."""
+    M = draw(st.integers(min_value=1, max_value=12))
+    T = draw(st.floats(min_value=0.1, max_value=4.0))
+    entries = st.lists(
+        st.floats(min_value=-1.0, max_value=1.0), min_size=M * M, max_size=M * M
+    )
+    f, g = (
+        Chaos2State(kernel=np.triu(np.reshape(draw(entries), (M, M)), 1), scalar=0.0, T=T)
+        for _ in range(2)
+    )
+    return f, (f if draw(st.booleans()) else g)
+
+
+def strictly_upper(state: Chaos2State) -> bool:
+    return not np.tril(state.kernel).any()
+
+
+@given(state_pairs(), st.floats(min_value=-4.0, max_value=4.0))
+@settings(max_examples=200, deadline=None)
+def test_built_states_stay_strictly_upper_triangular(pair, q):
+    f, g = pair
+    for state in (f + g, f.scale(q), f.diamond(g), f.diamond(g).diamond(f) + g.scale(0.5)):
+        assert strictly_upper(state)
+
+
+@given(state_pairs())
+@settings(max_examples=200, deadline=None)
+def test_diamond_matches_the_two_product_reference(pair):
+    f, g = pair
+    kernel, scalar = two_product_diamond(f, g)
+    got = f.diamond(g)
+    F, G = np.abs(f.kernel), np.abs(g.kernel)
+    scale = f.h * float(np.max(F @ G.T + G @ F.T))
+    assert np.max(np.abs(got.kernel - kernel)) <= 1e-15 * scale
+    assert got.scalar == scalar
+
+
+@pytest.mark.parametrize("q", [math.inf, -math.inf, math.nan])
+def test_non_finite_scale_is_refused(q):
+    with pytest.raises(ValueError, match="finite"):
+        constant_kernel(1.0, 4).scale(q)

@@ -643,6 +643,69 @@ def test_commands_without_suites_load_no_verification_or_signature(name):
     assert proc.returncode == 0, proc.stderr
 
 
+# the numeric commands, named as the cli-cold cells, at small sizes
+NUMERIC_COMMANDS = {
+    "bessel": ["bessel", "--delta", "2", "--lambda", "0.3", "--T", "1", "--x", "0.5"],
+    "chaos2": ["chaos2", "--flat", "1.0", "--grid", "16", "--order", "4"],
+    "riccati": ["riccati", "--kernel", "power", "--nu", "0.3", "--alpha", "0.6", "--rho", "-0.7",
+                "--a", "0.2", "--b", "0.1", "--T", "1", "--steps", "64"],
+    "mc-heston": ["mc", "--model", "Heston", "--paths", "1000", "--steps", "8",
+                  "--param", "xi0=0.04", "--param", "nu=0.3", "--param", "lam=1.0",
+                  "--param", "rho=-0.7", "--mgf", "0.2,0.1,0.0"],
+    "verify-chaos2": ["verify", "chaos2"],
+}
+FOREST_ALGEBRA = ("diamond_forests.algebra", "diamond_forests.expansions")
+
+
+def _runs_without(code, modules):
+    checks = "; ".join(f"assert {m!r} not in sys.modules, {m!r}" for m in modules)
+    proc = subprocess.run([sys.executable, "-c", f"import sys; {code}; {checks}"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_bessel_runs_without_numpy():
+    argv = NUMERIC_COMMANDS["bessel"]
+    _loads_no_numpy(f"import sys; from diamond_forests import cli; assert cli.main({argv!r}) == 0")
+
+
+@pytest.mark.parametrize(
+    "name", [*NUMERIC_COMMANDS, "levy", "cameron-martin", "signature", "verify-levy",
+             "verify-cameron-martin"])
+def test_command_without_forests_loads_no_forest_algebra(name):
+    argv = NUMERIC_COMMANDS.get(name) or EXACT_COMMANDS[name]
+    _runs_without(f"from diamond_forests import cli; assert cli.main({argv!r}) == 0",
+                  FOREST_ALGEBRA)
+
+
+def test_expand_loads_no_dataclasses():
+    argv = EXACT_COMMANDS["expand-K"]
+    _runs_without(f"from diamond_forests import cli; assert cli.main({argv!r}) == 0",
+                  ("dataclasses", "inspect"))
+
+
+def test_package_import_loads_no_forest_algebra():
+    _runs_without("import diamond_forests", FOREST_ALGEBRA + ("numpy",))
+
+
+def test_package_names_resolve_to_their_defining_modules():
+    import importlib
+
+    import diamond_forests
+
+    for name in diamond_forests.__all__:
+        if name == "__version__":
+            continue
+        home = importlib.import_module(
+            f"diamond_forests.{diamond_forests._SUBMODULE[name]}")
+        assert getattr(diamond_forests, name) is getattr(home, name)
+        assert name in home.__all__
+    with pytest.raises(AttributeError, match="no_such_name"):
+        diamond_forests.no_such_name
+    with pytest.raises(AttributeError):
+        diamond_forests.HALF
+
+
 def test_verify_help_names_every_suite():
     from diamond_forests import verification
 

@@ -1,6 +1,8 @@
 """Tests for the K / G / SPX-G expansion recursions and reordering."""
 
+import copy
 import hashlib
+import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ import pytest
 from diamond_forests import cli
 from diamond_forests.algebra import Forest, Poly, catalan, join, leaf, parse_poly
 from diamond_forests.expansions import (
+    ExpansionResult,
     cumulant_states,
     g_expansion,
     k_expansion,
@@ -85,6 +88,24 @@ def test_k_expansion_visits_each_unordered_pair_once(monkeypatch):
         calls.clear()
         build(order)
         assert len(calls) == diamonds
+
+
+def test_expansion_result_is_an_immutable_value():
+    k = k_expansion(4)
+    assert (k.kind, k.alphabet, k.symbols, sorted(k.orders)) == ("K", ("Y",), (), [1, 2, 3, 4])
+    assert k.max_order() == 4 and not k.is_zero()
+    assert k == k_expansion(4) and k != k_expansion(5) and k != g_expansion(4)
+    assert k == ExpansionResult("K", ("Y",), (), dict(k.orders))
+    assert ExpansionResult("G", ("Y",), ("a", "b"), {}).max_order() == 0
+    for field in ("kind", "orders", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(k, field, None)
+    with pytest.raises(AttributeError):
+        del k.kind
+    with pytest.raises(TypeError):
+        hash(k)
+    assert pickle.loads(pickle.dumps(k)) == k == copy.deepcopy(k)
+    assert repr(k).startswith("ExpansionResult(kind='K', alphabet=('Y',), symbols=(), orders={")
 
 
 @pytest.mark.parametrize(
