@@ -35,12 +35,21 @@ against the spectrum of W.  The Riccati march, whose next value depends on
 the last, builds the same sums block by block (Hairer-Lubich-Schlichte
 1985): once the left half of a block is solved, one convolution adds its
 share of the history to the right half, so n steps cost O(n log^2 n).
+
+``riccati_residual`` re-checks a solution with the same product integration
+on a grid ``refine`` times finer, against a PCHIP interpolant of g, so it
+stays independent of the solver's quadrature.  It needs that fine-grid sum
+only at the solver's nodes, and evaluates it only there: the fine samples of
+one cubic piece are linear in its four coefficients, so the fine weights fold
+into four coarse weight vectors and the sum becomes five convolutions at the
+solver's length.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -129,20 +138,19 @@ class KernelSpec:
 
         m0[i] = integral_{grid[i]}^{grid[i+1]} kappa(s) ds and m1[i] the same
         with an extra factor s; exactness here is what lets the product
-        integration keep first order through the power-law singularity.
+        integration keep first order through the power-law singularity.  Each
+        antiderivative is evaluated once per node and differenced.
         """
-        lo, hi = grid[:-1], grid[1:]
         if self.kind == "exp":
-            e_lo, e_hi = np.exp(-self.lam * lo), np.exp(-self.lam * hi)
-            m0 = (self.nu / self.lam) * (e_lo - e_hi)
-            m1 = self.nu * (
-                (lo / self.lam + 1.0 / self.lam**2) * e_lo
-                - (hi / self.lam + 1.0 / self.lam**2) * e_hi
-            )
+            e = np.exp(-self.lam * grid)
+            m0 = (self.nu / self.lam) * (e[:-1] - e[1:])
+            p1 = (grid / self.lam + 1.0 / self.lam**2) * e
+            m1 = self.nu * (p1[:-1] - p1[1:])
             return m0, m1
         a = self.alpha
-        m0 = self.nu * (hi**a - lo**a) / math.gamma(a + 1.0)
-        m1 = self.nu * (hi ** (a + 1) - lo ** (a + 1)) / (math.gamma(a) * (a + 1))
+        p0, p1 = grid**a, grid ** (a + 1)
+        m0 = self.nu * (p0[1:] - p0[:-1]) / math.gamma(a + 1.0)
+        m1 = self.nu * (p1[1:] - p1[:-1]) / (math.gamma(a) * (a + 1))
         return m0, m1
 
 
@@ -417,13 +425,14 @@ def _pchip_edge(h0: float, h1: float, m0: float, m1: float) -> float:
     return d
 
 
-def _pchip(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """PCHIP through (x, y), x strictly increasing with at least 3 points.
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """PCHIP through (x, y), x strictly increasing with at least 3 points, as
+    the (4, n) coefficients c of its n cubics: interval i holds
+    c[0, i] s^3 + c[1, i] s^2 + c[2, i] s + c[3, i] in s = x - x[i].
 
     Interior slopes are the weighted harmonic mean of the neighbouring secants
-    (0 where they differ in sign or one vanishes); each interval holds the
-    cubic c3 + c2 s + c1 s^2 + c0 s^3 in s = x - x[i], with the coefficients
-    and the evaluation order of scipy's ``CubicHermiteSpline`` and ``PPoly``.
+    (0 where they differ in sign or one vanishes); the coefficients are those
+    of scipy's ``CubicHermiteSpline``.
     """
     h = np.diff(x)
     m = np.diff(y) / h
@@ -436,7 +445,13 @@ def _pchip(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     d[0] = _pchip_edge(h[0], h[1], m[0], m[1])
     d[-1] = _pchip_edge(h[-1], h[-2], m[-1], m[-2])
     t = (d[:-1] + d[1:] - 2 * m) / h
-    c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
+    return np.array((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
+def _pchip(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The PCHIP of ``_pchip_coefficients``, evaluated in the order of scipy's
+    ``PPoly`` and extrapolating the end cubics."""
+    c0, c1, c2, c3 = _pchip_coefficients(x, y)
 
     def evaluate(points):
         points = np.asarray(points, dtype=float)
@@ -593,17 +608,51 @@ def solve_riccati(
     )
 
 
+def _refined_convolution(
+    kernel: KernelSpec, grid: np.ndarray, g: np.ndarray, refine: int
+) -> np.ndarray:
+    """(kappa * v)(grid[j]) by product integration on the ``refine``-times
+    finer uniform grid, v the PCHIP interpolant of g: the fine-grid sum,
+    evaluated only at the nodes of ``grid``.
+
+    With R = refine and Wf, Ef the fine weights, the sum at node j splits over
+    m = R p + r.  Phase r = 0 pairs Wf[R p] with g[j - p].  A phase r >= 1
+    reads v at the fixed offset s_r = fine[R - r] into cubic piece j - p - 1,
+    linear in that piece's coefficients, so the phases fold into one coarse
+    weight vector V_k = sum_r s_r^k Wf[R p + r] per power k.  The sum is then
+    five convolutions of length n + 1, summed in frequency space, less
+    Ef[R j] g[0]; no fine sample of v is formed.
+    """
+    n = grid.size - 1
+    fine = np.linspace(0.0, grid[-1], refine * n + 1)
+    Wf, Ef = _conv_weights(kernel, fine)
+    offsets = fine[refine - 1 : 0 : -1, None]  # s_r for r = 1 .. R-1
+    weights = np.zeros((5, n + 1))
+    weights[0] = Wf[::refine]
+    weights[1:, :n] = (Wf[:-1].reshape(n, refine)[:, 1:] @ offsets ** np.arange(3, -1, -1)).T
+    values = np.zeros((5, n + 1))
+    values[0] = g
+    values[1:, 1:] = _pchip_coefficients(grid, g)  # piece j - p - 1: one node behind
+    size = _fft_length(2 * n + 1)
+    spectrum = (np.fft.rfft(weights, size) * np.fft.rfft(values, size)).sum(axis=0)
+    out = np.fft.irfft(spectrum, size)[: n + 1]
+    out -= Ef[::refine] * g[0]
+    out[0] = 0.0  # the convolution vanishes at tau = 0
+    return out
+
+
 def riccati_residual(sol: RiccatiSolution, refine: int = 8) -> float:
     """Sup-norm defect of the solved g in the integral equation.
 
-    The convolution is re-evaluated on a ``refine``-times finer grid against
-    a monotone cubic interpolant of g, so the measure is independent of the
-    solver's own quadrature.
+    The convolution is the product integration on a ``refine``-times finer
+    grid against a monotone cubic interpolant of g, so the measure is
+    independent of the solver's own quadrature; that fine-grid sum is
+    evaluated only at the solver's nodes, where the defect is read
+    (``_refined_convolution``).  ``refine`` must be an integer >= 1.
     """
-    interp = sol.interpolator()
-    fine = np.linspace(0.0, sol.horizon, refine * (sol.grid.size - 1) + 1)
-    conv_fine = kernel_convolve(sol.kernel, interp(fine), fine)
-    conv = conv_fine[::refine]
+    if not isinstance(refine, numbers.Integral) or refine < 1:
+        raise ValueError(f"refine must be an integer >= 1, got {refine!r}")
+    conv = _refined_convolution(sol.kernel, sol.grid, sol.g, refine)
     kbar = kappa_bar(sol.kernel, sol.grid, sol.delta)
     C, q = _riccati_terms(sol.rho, sol.a, sol.b, sol.c, kbar)
     defect = C + 0.5 * (q + conv) ** 2 - sol.g

@@ -15,8 +15,8 @@ compiles every package module it imports:
   models.  ``bessel`` runs on ``math`` and every exact command starts
   without numpy.
 * The forest algebra (``algebra``, ``expansions``) is loaded only by
-  ``expand``, ``verify reorder`` and ``verify heston-riccati``.  The other
-  commands run the recursion from ``recursion`` alone.
+  ``expand`` and ``verify reorder``.  The other commands run the recursion
+  from ``recursion`` alone.
 
 Likewise this module imports ``verification``, ``models.levy``,
 ``models.signature``, ``csv``, ``inspect``, ``dataclasses`` and

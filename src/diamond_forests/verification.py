@@ -324,12 +324,12 @@ def suite_heston_riccati(steps: int = 4096) -> SuiteReport:
     from .affine import (
         ForwardVarianceCurve,
         KernelSpec,
+        _leaf_states,
+        _tree_grid,
         heston_ode_reference,
         riccati_residual,
         solve_riccati,
-        tree_value,
     )
-    from .algebra import join, leaf
 
     checks: List[Check] = []
     kern = KernelSpec.exponential(nu=0.3, lam=1.0)
@@ -356,14 +356,17 @@ def suite_heston_riccati(steps: int = 4096) -> SuiteReport:
     alpha = 0.6
     pk = KernelSpec.power_law(nu=0.4, alpha=alpha)
     crv = ForwardVarianceCurve.flat(0.04)
-    y = leaf("Y")
-    cherry = join(y, y)
+    values: Dict[int, List[float]] = {3: [], 4: []}
+    for T in (0.05, 0.1, 0.2):
+        # the trees Y<>(Y<>Y) and (Y<>Y)<>(Y<>Y) as diamonds of affine states
+        grid, convolve, kbar = _tree_grid(pk, 0.1, T, 2048)
+        y = _leaf_states(convolve, -0.7, kbar)["Y"]
+        cherry = y.diamond(y)
+        xi = crv(T - grid)
+        for k, state in ((3, y.diamond(cherry)), (4, cherry.diamond(cherry))):
+            values[k].append(float(np.trapezoid(xi * state.h, grid)))
     worst = 0.0
-    for k, tree in ((3, join(y, cherry)), (4, join(cherry, cherry))):
-        vals = [
-            tree_value(tree, pk, -0.7, 0.1, crv, 0.0, T, n_steps=2048)
-            for T in (0.05, 0.1, 0.2)
-        ]
+    for k, vals in values.items():
         target = 1 + (k - 2) * alpha
         for hi, lo in ((1, 0), (2, 1)):
             slope = math.log(vals[hi] / vals[lo]) / math.log(2.0)

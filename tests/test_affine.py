@@ -1,6 +1,7 @@
 """Forward-variance kernels, convolution-form tree values, and the Riccati solver."""
 
 import gc
+import hashlib
 import math
 
 import numpy as np
@@ -87,6 +88,42 @@ def test_kappa_bar_small_window_limit(kern):
         assert kappa_bar(kern, tau, delta) / delta == pytest.approx(
             kern.kappa(tau), rel=1e-3
         )
+
+
+def two_sided_moments(kern, grid):
+    """Reference (m0, m1): each antiderivative evaluated at both ends of every
+    subinterval, as the closed forms are written."""
+    lo, hi = grid[:-1], grid[1:]
+    if kern.kind == "exp":
+        e_lo, e_hi = np.exp(-kern.lam * lo), np.exp(-kern.lam * hi)
+        m0 = (kern.nu / kern.lam) * (e_lo - e_hi)
+        m1 = kern.nu * (
+            (lo / kern.lam + 1.0 / kern.lam**2) * e_lo
+            - (hi / kern.lam + 1.0 / kern.lam**2) * e_hi
+        )
+        return m0, m1
+    a = kern.alpha
+    m0 = kern.nu * (hi**a - lo**a) / math.gamma(a + 1.0)
+    m1 = kern.nu * (hi ** (a + 1) - lo ** (a + 1)) / (math.gamma(a) * (a + 1))
+    return m0, m1
+
+
+@pytest.mark.parametrize(
+    "kern", [EXP, POW, KernelSpec.power_law(nu=0.25, alpha=0.83)], ids=["exp", "power", "power2"]
+)
+def test_moments_equal_the_two_sided_formula_bit_for_bit(kern):
+    # one antiderivative per node, differenced, gives the same floats, so the
+    # march's weights (and every solve pinned below) do not move
+    rng = np.random.default_rng(5)
+    grids = [
+        np.linspace(0.0, 1.3, 4097),  # uniform, from tau = 0
+        np.linspace(0.25, 2.0, 33),  # uniform, away from 0
+        np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.0, 200))]),  # non-uniform
+        np.sort(rng.uniform(0.1, 3.0, 51)),
+    ]
+    for grid in grids:
+        got, want = kern.moments(grid), two_sided_moments(kern, grid)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_curve_validation_and_interpolation():
@@ -357,6 +394,31 @@ def test_riccati_march_solves_the_discrete_equation_at_the_step_cap(kern):
 # Riccati solver
 
 
+# sha256 of g's bytes and the hex of solver_tolerance, fixed when the kernel
+# moments moved to one antiderivative evaluation per node: the solve (and with
+# it the Heston oracle of the Monte Carlo checks) must not move by a bit
+SOLVE_PINS = {
+    "exp": (
+        (EXP, -0.7, 0.25, 0.1, 0.0, 0.1),
+        "4ab7bf7ab6d07a3e7ad0e16f1666a0702b2e51ac3225c67c69901dcd0cf035fd",
+        "0x1.a7b8000000000p-42",
+    ),
+    "power": (
+        (POW, -0.7, 0.25, 0.1, 0.1, 0.1),
+        "16a0dc5050a8ccda32ee970cf794acd19ff736f2ae9dccd044908d5e30e49db7",
+        "0x1.25c7f5f200000p-27",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SOLVE_PINS)
+def test_solve_is_pinned_bit_for_bit(name):
+    args, g_sha, tolerance = SOLVE_PINS[name]
+    sol = solve_riccati(*args, horizon=1.0, n_steps=2048)
+    assert hashlib.sha256(sol.g.tobytes()).hexdigest() == g_sha
+    assert sol.solver_tolerance.hex() == tolerance
+
+
 def test_riccati_boundary_value_exact():
     a, b, c, rho, delta = 0.3, -0.2, 0.15, -0.6, 0.25
     for kern in (EXP, POW):
@@ -461,6 +523,46 @@ def test_riccati_residual_within_tolerance_band(alpha):
 def test_riccati_residual_exponential():
     sol = solve_riccati(EXP, -0.7, 0.25, 0.1, 0.0, 0.1, horizon=1.0, n_steps=2048)
     assert riccati_residual(sol) <= 10.0 * sol.solver_tolerance
+
+
+def fine_route_convolution(kern, grid, g, refine):
+    """Reference for the residual's convolution: sample the PCHIP of g on the
+    ``refine``-times finer grid, convolve there, keep every refine-th value."""
+    sol = RiccatiSolution(grid, g, kern, 0.0, 0.0, 0.0, 0.0, 0.1)
+    fine = np.linspace(0.0, grid[-1], refine * (grid.size - 1) + 1)
+    return kernel_convolve(kern, sol.interpolator()(fine), fine)[::refine]
+
+
+@pytest.mark.parametrize("kern", [EXP, POW], ids=["exp", "power"])
+@pytest.mark.parametrize("n", [8, 9, 64, 1024, 4096])
+def test_node_convolution_matches_the_fine_route(kern, n):
+    # the fine-grid sum evaluated only at the nodes equals sampling the
+    # interpolant on the whole fine grid, for curved, flat and solved g;
+    # the solved ones also pass the residual gate at every refinement
+    grid = np.linspace(0.0, 1.0, n + 1)
+    inputs = {
+        "curve": 0.3 + np.sin(3.0 * grid) - 0.4 * grid**2,
+        "flat": np.full(n + 1, 0.3),
+    }
+    sols = [solve_riccati(kern, -0.7, 0.25, 0.1, c, 0.1, horizon=1.0, n_steps=n)
+            for c in (0.0, 0.1)]
+    inputs.update({f"solved c={sol.c}": sol.g for sol in sols})
+    for refine in (1, 2, 3, 8):
+        for name, g in inputs.items():
+            want = fine_route_convolution(kern, grid, g, refine)
+            got = affine._refined_convolution(kern, grid, g, refine)
+            assert got[0] == 0.0
+            err = np.max(np.abs(got - want))
+            assert err <= 1e-14 * np.max(np.abs(want)), (name, refine, err)
+        for sol in sols:
+            assert riccati_residual(sol, refine) <= 10.0 * sol.solver_tolerance
+
+
+@pytest.mark.parametrize("refine", [0, -1, 2.5])
+def test_riccati_residual_refuses_a_bad_refine(refine):
+    sol = solve_riccati(EXP, -0.7, 0.25, 0.1, 0.0, 0.1, horizon=1.0, n_steps=64)
+    with pytest.raises(ValueError, match="refine must be an integer >= 1"):
+        riccati_residual(sol, refine)
 
 
 def test_riccati_grid_convergence_power_law():

@@ -39,6 +39,8 @@ WORKLOADS_MODULE = _workloads_module()
         # the cold commands that now start without numpy or the forest algebra
         ("cli-cold", ("bessel",)),
         ("cli-cold", ("verify-chaos2",)),
+        # the benchmark's largest residual: power kernel, c != 0, 4096 steps
+        ("affine-exponent", ("power", False, 4096, 5)),
     ],
 )
 def test_workload_cell_runs_and_passes_its_check(name, cell):

@@ -653,6 +653,7 @@ NUMERIC_COMMANDS = {
                   "--param", "xi0=0.04", "--param", "nu=0.3", "--param", "lam=1.0",
                   "--param", "rho=-0.7", "--mgf", "0.2,0.1,0.0"],
     "verify-chaos2": ["verify", "chaos2"],
+    "verify-heston-riccati": ["verify", "heston-riccati"],
 }
 FOREST_ALGEBRA = ("diamond_forests.algebra", "diamond_forests.expansions")
 
