@@ -91,8 +91,9 @@ _FFT_STEPS = 128  # finished halves this long reach the next half by FFT
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Volatility kernel: exponential nu e^{-lam tau} or power-law
-    nu tau^{alpha-1} / Gamma(alpha) with alpha in (1/2, 1)."""
+    """Volatility kernel: exponential nu e^{-lam tau}, power-law
+    nu tau^{alpha-1} / Gamma(alpha) with alpha in (1/2, 1), or flat nu (the
+    squared Bessel process, whose forward variance moves by 2 sqrt(X) dB)."""
 
     kind: str
     nu: float
@@ -100,7 +101,7 @@ class KernelSpec:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("exp", "power"):
+        if self.kind not in ("exp", "power", "flat"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         require_finite(nu=self.nu, lam=self.lam)
         if not self.nu > 0:
@@ -118,11 +119,17 @@ class KernelSpec:
     def power_law(nu: float, alpha: float) -> "KernelSpec":
         return KernelSpec(kind="power", nu=nu, alpha=alpha)
 
+    @staticmethod
+    def flat(nu: float) -> "KernelSpec":
+        return KernelSpec(kind="flat", nu=nu)
+
     def kappa(self, tau):
         """Pointwise kernel value (vectorized); infinite at 0 for power law."""
         tau = np.asarray(tau, dtype=float)
         if self.kind == "exp":
             return self.nu * np.exp(-self.lam * tau)
+        if self.kind == "flat":
+            return np.full_like(tau, self.nu)
         with np.errstate(divide="ignore"):
             return self.nu * tau ** (self.alpha - 1.0) / math.gamma(self.alpha)
 
@@ -131,6 +138,8 @@ class KernelSpec:
         tau = np.asarray(tau, dtype=float)
         if self.kind == "exp":
             return (self.nu / self.lam) * (1.0 - np.exp(-self.lam * tau))
+        if self.kind == "flat":
+            return self.nu * tau
         return self.nu * tau**self.alpha / math.gamma(self.alpha + 1.0)
 
     def moments(self, grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -147,6 +156,9 @@ class KernelSpec:
             p1 = (grid / self.lam + 1.0 / self.lam**2) * e
             m1 = self.nu * (p1[:-1] - p1[1:])
             return m0, m1
+        if self.kind == "flat":
+            p1 = grid**2
+            return self.nu * (grid[1:] - grid[:-1]), self.nu * (p1[1:] - p1[:-1]) / 2.0
         a = self.alpha
         p0, p1 = grid**a, grid ** (a + 1)
         m0 = self.nu * (p0[1:] - p0[:-1]) / math.gamma(a + 1.0)

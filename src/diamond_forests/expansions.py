@@ -26,7 +26,7 @@ regrouping by leaf count reproduces the G expansion order by order, exactly.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import Forest, Poly, PolyLike, Tree, join, leaf
 from .errors import DEFAULT_MAX_ORDER_CAP
@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-class ExpansionResult:
+class ExpansionResult(NamedTuple):
     """Orders of a forest expansion plus the request metadata.
 
     ``orders`` maps order index to :class:`Forest`; K expansions carry orders
@@ -54,41 +54,10 @@ class ExpansionResult:
     Immutable; ``==`` compares all four fields.
     """
 
-    __slots__ = ("kind", "alphabet", "symbols", "orders")
-
-    def __init__(
-        self,
-        kind: str,  # "K" | "G" | "SPXG"
-        alphabet: Tuple[str, ...],
-        symbols: Tuple[str, ...],
-        orders: Dict[int, Forest],
-    ):
-        for name, value in zip(self.__slots__, (kind, alphabet, symbols, orders)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: ExpansionResult is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}: ExpansionResult is immutable")
-
-    def _fields(self) -> tuple:
-        return (self.kind, self.alphabet, self.symbols, self.orders)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not ExpansionResult:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None  # ``orders`` is a dict
-
-    def __reduce__(self):
-        return (ExpansionResult, self._fields())
-
-    def __repr__(self) -> str:
-        return "ExpansionResult(" + ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())
-        ) + ")"
+    kind: str  # "K" | "G" | "SPXG"
+    alphabet: Tuple[str, ...]
+    symbols: Tuple[str, ...]
+    orders: Dict[int, Forest]
 
     def max_order(self) -> int:
         return max(self.orders) if self.orders else 0

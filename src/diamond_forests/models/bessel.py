@@ -14,7 +14,10 @@ is driven by psi = sum_{even n} (-lambda)^{n/2} Gamma_n, where
 and psi solves the backward Riccati ODE -psi' = -2 lambda mu + psi^2,
 psi(T) = 0.  Two weight regimes are supported:
 
-* callable mu: grids + composite trapezoid quadrature (the general path);
+* callable mu: on tau = T - s, X_t + int delta is an affine forward variance
+  that moves by 2 sqrt(X) dB, the flat kernel kappa = 2, so Gamma_{2m} is the
+  child loading w of the m-th ``AffineState`` of ``cumulant_states`` seeded
+  with h = mu(T - tau); its product integration is the trapezoid rule;
 * the Dirac weight at T (Laplace transform of X_T itself): here every
   Gamma_n is an exact polynomial in (T-s) — Gamma_{2k+2} = 2^{k+1} (T-s)^k —
   and the series evaluator works with exact coefficients, no quadrature.
@@ -31,9 +34,8 @@ boundary.  The constant-dimension closed form is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Dict, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Dict, NamedTuple, Sequence, Union
 
 from ..errors import DomainError, require_finite
 
@@ -52,8 +54,7 @@ __all__ = [
 MuSpec = Union[Callable[["np.ndarray"], "np.ndarray"], str]
 
 
-@dataclass(frozen=True)
-class BesselGamma:
+class BesselGamma(NamedTuple):
     """Backward Gamma functions on a time grid.
 
     ``grid``: increasing times from t to T; ``gammas``: map even order n to
@@ -65,16 +66,6 @@ class BesselGamma:
     grid: np.ndarray
     gammas: Dict[int, np.ndarray]
     dirac: bool
-
-
-def _cumtrapz_from_right(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """int_s^T f(r) dr on the grid by composite trapezoid, zero at T."""
-    import numpy as np
-
-    df = np.diff(grid) * 0.5 * (values[1:] + values[:-1])
-    out = np.zeros_like(values)
-    out[:-1] = df[::-1].cumsum()[::-1]
-    return out
 
 
 def bessel_gamma(
@@ -94,6 +85,7 @@ def bessel_gamma(
     """
     if n_max < 2 or n_max % 2:
         raise ValueError("n_max must be an even integer >= 2")
+    require_finite(t=t, T=T)
     if not T > t:
         raise DomainError(f"need t < T, got t={t}, T={T}")
     if grid < 2:
@@ -101,26 +93,26 @@ def bessel_gamma(
     import numpy as np
 
     s = np.linspace(t, T, grid)
-    gammas: Dict[int, np.ndarray] = {}
     if isinstance(mu, str):
         if mu != "dirac":
             raise ValueError(f"unknown weight spec {mu!r}")
         # exact polynomials: Gamma_{2k+2}(s) = 2^{k+1} (T-s)^k
-        for k in range(0, n_max // 2):
-            gammas[2 * k + 2] = (2.0 ** (k + 1)) * (T - s) ** k
+        gammas = {2 * k + 2: (2.0 ** (k + 1)) * (T - s) ** k for k in range(n_max // 2)}
         return BesselGamma(grid=s, gammas=gammas, dirac=True)
 
     mu_vals = np.asarray(mu(s), dtype=float)
     if mu_vals.shape != s.shape:
         raise ValueError("mu(s) must return an array matching the grid")
+    if not np.all(np.isfinite(mu_vals)):
+        raise ValueError("mu must be finite on the grid")
     if np.any(mu_vals < 0):
         raise DomainError("weight mu must be nonnegative")
-    gammas[2] = 2.0 * _cumtrapz_from_right(mu_vals, s)
-    for n in range(4, n_max + 1, 2):
-        rhs = np.zeros_like(s)
-        for j in range(2, n - 1, 2):
-            rhs += gammas[j] * gammas[n - j]
-        gammas[n] = _cumtrapz_from_right(rhs, s)
+    from ..affine import AffineState, KernelSpec, _Convolution
+    from ..recursion import cumulant_states
+
+    convolve = _Convolution(KernelSpec.flat(2.0), np.linspace(0.0, T - t, grid))
+    states = cumulant_states({1: AffineState(convolve, 0.0, 0.0, mu_vals[::-1], None)}, n_max // 2)
+    gammas = {2 * m: state.w[::-1] for m, state in states.items()}
     return BesselGamma(grid=s, gammas=gammas, dirac=False)
 
 
@@ -176,6 +168,8 @@ def bessel_laplace_series(
     diverges and a DomainError is raised.
     """
     require_finite(x=x, delta=delta, lam=lam, T=T)
+    if n_max < 2:
+        raise ValueError(f"n_max must be >= 2, got {n_max}")
     if lam < 0:
         raise DomainError("lambda must be >= 0 (Laplace side only)")
     if x < 0 or delta < 0 or T <= 0:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import List
 
-from ..errors import DomainError
+from ..errors import DomainError, require_finite
 
 __all__ = ["brownian_drift_cumulants", "stopped_bm_cgf"]
 
@@ -23,6 +23,7 @@ def brownian_drift_cumulants(
     Returns:
         list [K1, ..., Kn].
     """
+    require_finite(sigma=sigma, mu=mu, t=t, T=T, state=state)
     if T < t:
         raise DomainError(f"need T >= t, got t={t}, T={T}")
     if n < 1:
@@ -41,6 +42,7 @@ def stopped_bm_cgf(B: float, x: float) -> float:
     (1+B)/2, so the conditional CGF is log((1+B)e^x + (1-B)e^-x) - log 2.
     At B=0 this is log cosh x; at B=+-1 it is +-x exactly.
     """
+    require_finite(B=B, x=x)
     if abs(B) > 1:
         raise DomainError(f"current value must lie in [-1, 1], got {B}")
     # stable evaluation for large |x|

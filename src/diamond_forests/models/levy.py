@@ -119,6 +119,9 @@ def levy_state_value(
     s: LevyState, t: float, T: float, x: float = 0.0, y: float = 0.0, area: float = 0.0
 ) -> float:
     """Numeric value of a state given time-t data (positions x, y, area)."""
+    require_finite(t=t, T=T, x=x, y=y, area=area)
+    if T < t:
+        raise DomainError(f"need T >= t, got t={t}, T={T}")
     dt = T - t
     r2 = 0.5 * (x * x + y * y)
     total = float(s.area) * area

@@ -2,7 +2,8 @@
 
 States need ``+``, ``scale(q)`` and a commutative ``diamond``: formal
 forests with exact polynomial coefficients (:mod:`.expansions`), the Levy
-J-family, chaos2 kernels and affine loadings all qualify.
+J-family, chaos2 kernels and affine loadings (the squared Bessel Gammas
+among them, on the flat kernel) all qualify.
 :func:`cumulant_states` takes seed states for the lowest orders; above the
 seeds it forms
 

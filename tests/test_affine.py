@@ -29,9 +29,11 @@ from diamond_forests.affine import (
 from diamond_forests.algebra import join, leaf
 from diamond_forests.errors import DomainError
 from diamond_forests.expansions import g_expansion, k_expansion, spx_g_expansion
+from diamond_forests.models.signature import cameron_martin_cgf
 
 EXP = KernelSpec.exponential(nu=0.3, lam=1.0)
 POW = KernelSpec.power_law(nu=0.4, alpha=0.6)
+FLAT = KernelSpec.flat(nu=2.0)
 
 Y = leaf("Y")
 Z = leaf("zeta")
@@ -50,6 +52,11 @@ def test_kernel_validation():
         KernelSpec.power_law(nu=1.0, alpha=0.5)
     with pytest.raises(ValueError):
         KernelSpec.power_law(nu=1.0, alpha=1.0)
+    for nu in (0.0, -2.0):
+        with pytest.raises(ValueError, match="nu must be positive"):
+            KernelSpec.flat(nu=nu)
+    with pytest.raises(ValueError, match="unknown kernel kind"):
+        KernelSpec(kind="constant", nu=1.0)
 
 
 @pytest.mark.parametrize("name", ["nu", "lam"])
@@ -59,6 +66,9 @@ def test_kernel_rejects_non_finite_parameters(name, value):
     args[name] = value
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         KernelSpec.exponential(**args)
+    if name == "nu":
+        with pytest.raises(ValueError, match="nu must be finite"):
+            KernelSpec.flat(nu=value)
 
 
 @pytest.mark.parametrize("kern", [EXP, POW], ids=["exp", "power"])
@@ -102,6 +112,8 @@ def two_sided_moments(kern, grid):
             - (hi / kern.lam + 1.0 / kern.lam**2) * e_hi
         )
         return m0, m1
+    if kern.kind == "flat":
+        return kern.nu * (hi - lo), kern.nu * (hi**2 - lo**2) / 2.0
     a = kern.alpha
     m0 = kern.nu * (hi**a - lo**a) / math.gamma(a + 1.0)
     m1 = kern.nu * (hi ** (a + 1) - lo ** (a + 1)) / (math.gamma(a) * (a + 1))
@@ -109,7 +121,9 @@ def two_sided_moments(kern, grid):
 
 
 @pytest.mark.parametrize(
-    "kern", [EXP, POW, KernelSpec.power_law(nu=0.25, alpha=0.83)], ids=["exp", "power", "power2"]
+    "kern",
+    [EXP, POW, KernelSpec.power_law(nu=0.25, alpha=0.83), FLAT],
+    ids=["exp", "power", "power2", "flat"],
 )
 def test_moments_equal_the_two_sided_formula_bit_for_bit(kern):
     # one antiderivative per node, differenced, gives the same floats, so the
@@ -446,6 +460,26 @@ def test_riccati_heston_ode_other_parameters():
     sol = solve_riccati(kern, rho, a, b, 0.0, 0.1, horizon=1.5, n_steps=4096)
     ref = heston_ode_reference(kern, rho, a, b, sol.grid)
     assert np.max(np.abs(sol.g - ref)) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "x, delta, lam, T", [(0.0, 1.0, 0.5, 1.0), (1.3, 0.7, 0.3, 1.5), (0.4, 2.0, 1.2, 0.8)]
+)
+def test_flat_kernel_march_meets_the_besq_laplace_transform(x, delta, lam, T):
+    # dX = 2 sqrt(X) dB + delta dt has forward variance xi_0(u) = x + delta u and
+    # kernel 2, so log E exp(-lam int_0^T X) is the exponent with a = 0, b = -lam
+    r = math.sqrt(2.0 * lam)
+    want = -0.5 * x * r * math.tanh(r * T) - 0.5 * delta * math.log(math.cosh(r * T))
+    curve = ForwardVarianceCurve.sampled([0.0, T], [x, x + delta * T])
+    gaps = []
+    for n_steps in (1024, 4096):
+        sol = solve_riccati(FLAT, 0.0, 0.0, -lam, 0.0, 1.0, horizon=T, n_steps=n_steps)
+        gaps.append(abs(mgf_value(sol, 0.0, curve, 0.0, 0.0, T) - want))
+        assert gaps[-1] <= 2.0 * sol.solver_tolerance
+        assert riccati_residual(sol) <= sol.solver_tolerance
+    assert gaps[1] <= gaps[0] / 10.0  # second order: 16x per 4x steps
+    if (x, delta, T) == (0.0, 1.0, 1.0):  # B^2 is BESQ(1) from 0: the Cameron-Martin ladder
+        assert cameron_martin_cgf(lam, 30) == pytest.approx(want, abs=1e-13)
 
 
 def dop853_reference(kern, rho, a, b, grid):

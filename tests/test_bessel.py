@@ -31,6 +31,40 @@ def test_gamma2_exact_for_linear_weight():
     np.testing.assert_allclose(st.gammas[2], expected, rtol=1e-13)
 
 
+def ladder_gammas(n_max, mu, t, T, grid):
+    """Reference Gammas: the backward ladder -Gamma_n' = sum Gamma_j Gamma_k,
+    each order integrated from T by the composite trapezoid rule."""
+    s = np.linspace(t, T, grid)
+
+    def from_right(values):
+        out = np.zeros_like(values)
+        out[:-1] = (np.diff(s) * 0.5 * (values[1:] + values[:-1]))[::-1].cumsum()[::-1]
+        return out
+
+    gammas = {2: 2.0 * from_right(np.asarray(mu(s), dtype=float))}
+    for n in range(4, n_max + 1, 2):
+        gammas[n] = from_right(sum(gammas[j] * gammas[n - j] for j in range(2, n - 1, 2)))
+    return gammas
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [lambda s: np.ones_like(s), lambda s: 1.0 + 0.5 * s, lambda s: 1.0 + 0.5 * np.sin(3.0 * s)],
+    ids=["flat", "linear", "sine"],
+)
+@pytest.mark.parametrize("grid", [2, 3, 5, 256, 4096, 8192])
+def test_gammas_match_the_trapezoid_ladder(mu, grid):
+    # the flat-kernel product integration is the trapezoid rule, so the affine
+    # states reproduce the ladder up to the rounding of the FFT convolution
+    for t in (0.0, 0.5):
+        got = bessel_gamma(24, mu, t, 2.0, grid=grid)
+        want = ladder_gammas(24, mu, t, 2.0, grid)
+        assert sorted(got.gammas) == sorted(want)
+        for n, g in want.items():
+            gap = np.max(np.abs(got.gammas[n] - g))
+            assert gap <= 1e-12 * np.max(np.abs(g)), (n, t, gap)
+
+
 def test_gamma_dirac_polynomials():
     st = bessel_gamma(8, "dirac", 0.0, 1.0, grid=5)
     s = st.grid
@@ -44,6 +78,19 @@ def test_gamma_dirac_polynomials():
 def test_gamma_rejects_negative_weight():
     with pytest.raises(DomainError):
         bessel_gamma(4, lambda s: np.sin(20 * s), 0.0, 1.0, grid=128)
+
+
+@pytest.mark.parametrize("name, value", [("t", math.nan), ("T", math.inf), ("T", math.nan)])
+def test_gamma_refuses_non_finite_times(name, value):
+    args = {"t": 0.0, "T": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        bessel_gamma(4, lambda s: np.ones_like(s), grid=16, **args)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_gamma_refuses_non_finite_weight(bad):
+    with pytest.raises(ValueError, match="mu must be finite"):
+        bessel_gamma(4, lambda s: np.where(s > 0.5, bad, 1.0), 0.0, 1.0, grid=16)
 
 
 def test_psi_series_vs_ode_smooth_weight():
@@ -119,6 +166,12 @@ def test_series_matches_closed_form():
             a = bessel_laplace(1.0, delta, lam, T)
             b = bessel_laplace_series(1.0, delta, lam, T)
             assert abs(a - b) <= 1e-8, (lam, delta)
+
+
+@pytest.mark.parametrize("n_max", [1, 0, -4])
+def test_series_refuses_fewer_than_two_orders(n_max):
+    with pytest.raises(ValueError, match="n_max must be >= 2"):
+        bessel_laplace_series(1.0, 2.0, 0.25, 1.0, n_max=n_max)
 
 
 def test_series_outside_summability_domain():

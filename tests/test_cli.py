@@ -667,7 +667,8 @@ def _runs_without(code, modules):
 
 def test_bessel_runs_without_numpy():
     argv = NUMERIC_COMMANDS["bessel"]
-    _loads_no_numpy(f"import sys; from diamond_forests import cli; assert cli.main({argv!r}) == 0")
+    _loads_no_numpy(f"import sys; from diamond_forests import cli; assert cli.main({argv!r}) == 0; "
+                    "assert 'diamond_forests.affine' not in sys.modules")
 
 
 @pytest.mark.parametrize(
@@ -680,9 +681,9 @@ def test_command_without_forests_loads_no_forest_algebra(name):
 
 
 def test_expand_loads_no_dataclasses():
-    argv = EXACT_COMMANDS["expand-K"]
-    _runs_without(f"from diamond_forests import cli; assert cli.main({argv!r}) == 0",
-                  ("dataclasses", "inspect"))
+    for argv in (EXACT_COMMANDS["expand-K"], NUMERIC_COMMANDS["bessel"]):
+        _runs_without(f"from diamond_forests import cli; assert cli.main({argv!r}) == 0",
+                      ("dataclasses", "inspect"))
 
 
 def test_package_import_loads_no_forest_algebra():

@@ -76,6 +76,14 @@ def test_brownian_drift_zero_vol():
     assert all(k == 0.0 for k in ks[1:])
 
 
+@pytest.mark.parametrize("name", ["sigma", "mu", "t", "T", "state"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_brownian_drift_refuses_non_finite_arguments(name, value):
+    args = {"sigma": 1.0, "mu": 0.0, "t": 0.0, "T": 2.0, "n": 2, "state": 0.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        brownian_drift_cumulants(**args)
+
+
 def test_stopped_bm_cgf_symmetric_barrier():
     for x in (-2.0, -0.5, 0.0, 0.4, 3.0):
         assert stopped_bm_cgf(0.0, x) == pytest.approx(
@@ -126,6 +134,14 @@ def test_stopped_bm_cgf_rejects_bad_barrier():
         stopped_bm_cgf(-1.0001, 1.0)
 
 
+@pytest.mark.parametrize("name", ["B", "x"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_stopped_bm_cgf_refuses_non_finite_arguments(name, value):
+    args = {"B": 0.0, "x": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        stopped_bm_cgf(**args)
+
+
 # ---------------------------------------------------------------------------
 # Levy area: J-states and the alpha recursion
 # ---------------------------------------------------------------------------
@@ -157,6 +173,21 @@ def test_area_diamond_area():
     # at t: J^2 = (T-t)^2/2 + (x^2+y^2)(T-t)/2, so A<>A = (T-t)^2 + (x^2+y^2)(T-t)
     v = levy_state_value(prod, 0.5, 1.5, 1.0, 2.0, 0.3)
     assert v == pytest.approx(1.0 + 5.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["t", "T", "x", "y", "area"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_levy_state_value_refuses_non_finite_arguments(name, value):
+    state = LevyState(area=Fraction(1), coeffs={2: Fraction(1)})
+    args = {"t": 0.0, "T": 1.0, "x": 0.5, "y": -0.5, "area": 0.3, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        levy_state_value(state, **args)
+
+
+def test_levy_state_value_refuses_a_horizon_before_t():
+    with pytest.raises(DomainError, match="need T >= t"):
+        levy_state_value(LevyState(coeffs={2: Fraction(1)}), 1.0, 0.0)
+    assert levy_state_value(LevyState(coeffs={2: Fraction(1)}), 1.0, 1.0) == 0.0
 
 
 def test_area_diamond_j_vanishes():
