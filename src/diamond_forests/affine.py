@@ -89,6 +89,10 @@ _FFT_STEPS = 128  # finished halves this long reach the next half by FFT
 # ---------------------------------------------------------------------------
 
 
+# the shape parameter each kernel kind reads; the others must keep their default 0
+_KERNEL_READS = {"exp": ("lam",), "power": ("alpha",), "flat": ()}
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Volatility kernel: exponential nu e^{-lam tau}, power-law
@@ -101,9 +105,13 @@ class KernelSpec:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("exp", "power", "flat"):
+        if self.kind not in _KERNEL_READS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        require_finite(nu=self.nu, lam=self.lam)
+        require_finite(nu=self.nu, lam=self.lam, alpha=self.alpha)
+        reads = _KERNEL_READS[self.kind]
+        unread = [p for p in ("lam", "alpha") if p not in reads and getattr(self, p) != 0.0]
+        if unread:
+            raise ValueError(f"{self.kind} kernel takes no {' or '.join(unread)}")
         if not self.nu > 0:
             raise ValueError("nu must be positive")
         if self.kind == "exp" and not self.lam > 0:

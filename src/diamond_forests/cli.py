@@ -9,11 +9,11 @@ that round-trips.  Exit codes: 0 success, 1 verify ran but a check failed,
 Each command imports only the modules it runs, because a cold process
 compiles every package module it imports:
 
-* numpy is loaded by ``chaos2``, ``riccati``, ``mc`` and ``verify
-  bessel|chaos2|heston-riccati|mc-cross`` (and ``verify levy --paths N``),
+* numpy is loaded by ``chaos2``, ``riccati``, ``mc``, ``verify
+  chaos2|heston-riccati|mc-cross`` and ``verify levy|bessel --paths N``,
   inside the commands that call the solver, the simulators or the numeric
-  models.  ``bessel`` runs on ``math`` and every exact command starts
-  without numpy.
+  models.  ``bessel`` and ``verify bessel`` without ``--paths`` run on
+  ``math``, and every exact command starts without numpy.
 * The forest algebra (``algebra``, ``expansions``) is loaded only by
   ``expand`` and ``verify reorder``.  The other commands run the recursion
   from ``recursion`` alone.

@@ -46,6 +46,7 @@ __all__ = [
     "CumulantEstimate",
     "MgfEstimate",
     "simulate",
+    "exact_cumulants",
     "empirical_cumulants",
     "empirical_mgf",
 ]
@@ -333,6 +334,28 @@ _SIMULATORS = {
     "StoppedBM": _sim_stopped_bm,
     "Chaos2": _sim_chaos2,
 }
+
+
+def exact_cumulants(cfg: SimConfig, max_order: int) -> List[float]:
+    """Cumulants kappa_1..kappa_max_order of the law ``simulate(cfg)`` samples.
+
+    BMdrift is N(mu T, sigma^2 T).  LevyArea and Chaos2 are second-chaos laws:
+    a standard Laplace is (Z_1^2 + Z_2^2 - Z_3^2 - Z_4^2) / 2, so the area has
+    eigenvalues +-s_k / 2 (``_levy_weights``), each twice; Chaos2 has those of
+    h (K + K^T) / 2."""
+    from .models.chaos2 import Chaos2State, eigenvalue_cumulants, spectral_cumulants
+
+    if max_order < 1:
+        raise ValueError("max_order must be >= 1")
+    if cfg.model == "BMdrift":
+        law = [cfg.param("mu", 0.0) * cfg.horizon, cfg.param("sigma", 1.0) ** 2 * cfg.horizon]
+        return (law + [0.0] * max_order)[:max_order]
+    if cfg.model == "LevyArea":
+        s = 0.5 * _levy_weights(cfg.n_steps, cfg.horizon)
+        return spectral_cumulants(np.concatenate([s, s, -s, -s]), max_order)
+    if cfg.model == "Chaos2":
+        return eigenvalue_cumulants(Chaos2State(cfg.params["kernel"], 0.0, cfg.horizon), max_order)
+    raise ValueError(f"model {cfg.model} has no exact cumulant law here")
 
 
 def _thread_cap() -> int:

@@ -46,6 +46,7 @@ _SUBMODULE = {
     "constant_kernel": "chaos2",
     "eigenvalue_cumulants": "chaos2",
     "kernel_from_function": "chaos2",
+    "spectral_cumulants": "chaos2",
 }
 
 __all__ = list(_SUBMODULE)

@@ -120,6 +120,8 @@ def psi_series(state: BesselGamma, lam: float) -> np.ndarray:
     """Partial sum psi = sum (-lambda)^{n/2} Gamma_n over the stored orders."""
     import numpy as np
 
+    require_finite(lam=lam)
+
     out = np.zeros_like(state.grid)
     for n, g in state.gammas.items():
         out += (-lam) ** (n // 2) * g

@@ -34,6 +34,7 @@ __all__ = [
     "Chaos2State",
     "chaos2_cumulants",
     "eigenvalue_cumulants",
+    "spectral_cumulants",
     "constant_kernel",
     "kernel_from_function",
 ]
@@ -149,20 +150,17 @@ def chaos2_cumulants(f: Chaos2State, n_max: int) -> List[float]:
 
 
 def eigenvalue_cumulants(f: Chaos2State, n_max: int) -> List[float]:
-    """Spectral route: kappa_n = 2^{n-1} (n-1)! tr(G^n), G the symmetrized kernel.
+    """Spectral route: ``spectral_cumulants`` of h G, G(w, v) = f(min, max) / 2 the
+    symmetrized kernel on the grid.  Fully independent of the diamond recursion."""
+    G = 0.5 * (f.kernel + f.kernel.T)
+    return spectral_cumulants(np.linalg.eigvalsh(G * f.h), n_max)
 
-    The symmetrization G(w, v) = f(min, max) / 2 extends f off the simplex;
-    on the grid the operator is h * G_mat and its trace powers come from the
-    eigenvalues.  Fully independent of the diamond recursion.
-    """
+
+def spectral_cumulants(eigs: np.ndarray, n_max: int) -> List[float]:
+    """kappa_1..kappa_n_max of sum_k lambda_k (Z_k^2 - 1), Z_k iid standard normal
+    (every second-chaos law): kappa_1 = 0, kappa_n = 2^{n-1} (n-1)! sum lambda^n."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    G = 0.5 * (f.kernel + f.kernel.T)
-    eig = np.linalg.eigvalsh(G * f.h)
-    out = []
-    for n in range(1, n_max + 1):
-        if n == 1:
-            out.append(0.0)
-        else:
-            out.append(2.0 ** (n - 1) * factorial(n - 1) * float(np.sum(eig**n)))
-    return out
+    return [0.0] + [
+        2.0 ** (n - 1) * factorial(n - 1) * float(np.sum(eigs**n)) for n in range(2, n_max + 1)
+    ]

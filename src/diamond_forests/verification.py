@@ -3,12 +3,13 @@
 Each suite compares an exact pipeline against an independent oracle (a Taylor
 recursion, a classical ODE, an eigenvalue identity, or Monte Carlo) and
 reports measured gaps next to their tolerances.  Exact rational checks carry
-tolerance 0.
+tolerance 0; Monte Carlo checks report their worst z-score against 3.
 
 The exact suites (``reorder``, ``cameron-martin``, and ``levy`` without Monte
-Carlo) run on rational arithmetic alone; the numeric suites import numpy, the
-solver, the simulators and their models inside their own bodies, so running
-an exact suite never loads them.  The exact models and the forest algebra
+Carlo) run on rational arithmetic alone, and ``bessel`` without it on
+``math``; the numeric suites import numpy, the solver, the simulators and
+their models inside their own bodies, so running an exact suite never loads
+them.  The exact models and the forest algebra
 load the same way: ``reorder`` loads neither ``models.levy`` nor
 ``models.signature``, and ``chaos2`` loads neither ``algebra`` nor
 ``expansions``.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
 __all__ = [
     "Check",
@@ -65,6 +66,19 @@ class SuiteReport:
             "passed": self.passed,
             "checks": [c.to_dict() for c in self.checks],
         }
+
+
+def _z_check(name: str, estimates: Sequence[Tuple[float, float]], exact: Sequence[float]) -> Check:
+    """(estimate, SE) pairs against exact values: the worst |estimate - exact| / SE, at most 3."""
+    return Check(name, max(abs(v - x) / se for (v, se), x in zip(estimates, exact)), 3.0)
+
+
+def _cumulant_check(name: str, cfg, first: int, last: int) -> Check:
+    """Cumulants ``first``..``last`` of ``simulate(cfg)`` against the law it samples."""
+    from .mc import empirical_cumulants, exact_cumulants, simulate
+
+    est = [(e.value, e.std_error) for e in empirical_cumulants(simulate(cfg), last)]
+    return _z_check(name, est[first - 1 :], exact_cumulants(cfg, last)[first - 1 :])
 
 
 # ---------------------------------------------------------------------------
@@ -167,24 +181,14 @@ def suite_levy(
 
     partial = levy_cgf(T, order)
     closed = -math.log(math.cos(T))
-    checks.append(
-        Check(f"cgf partial sum at T={T:g} vs -log cos", abs(partial - closed), 1e-8)
-    )
+    checks.append(Check(f"cgf partial sum at T={T:g} vs -log cos", abs(partial - closed), 1e-8))
 
     if paths > 0:
-        from .mc import SimConfig, empirical_cumulants, simulate
+        from .mc import SimConfig
 
         cfg = SimConfig("LevyArea", {}, paths, steps, 1.0, seed=seed)
-        k2 = empirical_cumulants(simulate(cfg), 2)[1]
-        # left-point Euler shrinks the variance by exactly 1/n_steps
-        bias = 1.0 / steps
-        checks.append(
-            Check(
-                f"MC variance at T=1 within 3 SE + step bias ({paths} paths)",
-                abs(k2.value - 1.0),
-                3.0 * k2.std_error + bias,
-            )
-        )
+        name = f"MC variance at T=1 vs exact Euler law ({paths} paths, SE units)"
+        checks.append(_cumulant_check(name, cfg, 2, 2))
     return SuiteReport("levy", checks)
 
 
@@ -220,40 +224,27 @@ def suite_bessel(
     seed: int = 7,
 ) -> SuiteReport:
     """Squared-radius Laplace transforms: series vs closed form, optional MC."""
-    from .mc import SimConfig, empirical_mgf, simulate
     from .models.bessel import bessel_laplace, bessel_laplace_series
 
-    checks: List[Check] = []
-    worst = 0.0
-    for lam in lams:
-        for delta in deltas:
-            gap = abs(
-                bessel_laplace_series(x, delta, lam, T) - bessel_laplace(x, delta, lam, T)
-            )
-            worst = max(worst, gap)
-    checks.append(
-        Check(
-            f"series vs closed form over lam={tuple(lams)}, delta={tuple(deltas)}",
-            worst,
-            1e-8,
-        )
+    worst = max(
+        abs(bessel_laplace_series(x, delta, lam, T) - bessel_laplace(x, delta, lam, T))
+        for lam in lams
+        for delta in deltas
     )
+    name = f"series vs closed form over lam={tuple(lams)}, delta={tuple(deltas)}"
+    checks = [Check(name, worst, 1e-8)]
     if paths > 0:
-        worst_margin = -math.inf
+        from .mc import SimConfig, empirical_mgf, simulate
+
+        estimates, exact = [], []
         for delta in deltas:
             cfg = SimConfig("BESQ", {"x": x, "delta": delta}, paths, 1, T, seed=seed)
             samples = simulate(cfg)
             for lam in lams:
                 est = empirical_mgf(samples, (-lam, 0.0, 0.0))
-                gap = abs(est.value - bessel_laplace(x, delta, lam, T))
-                worst_margin = max(worst_margin, gap - 3 * est.std_error)
-        checks.append(
-            Check(
-                f"exact-sampler MC within 3 SE ({paths} draws)",
-                worst_margin,
-                0.0,
-            )
-        )
+                estimates.append((est.value, est.std_error))
+                exact.append(bessel_laplace(x, delta, lam, T))
+        checks.append(_z_check(f"exact-sampler MC (SE units, {paths} draws)", estimates, exact))
     return SuiteReport("bessel", checks)
 
 
@@ -380,55 +371,42 @@ def suite_mc_cross(
 ) -> SuiteReport:
     """Every simulator against its exact counterpart, in standard-error units."""
     from .affine import ForwardVarianceCurve, KernelSpec, mgf_value, solve_riccati
-    from .mc import SimConfig, empirical_cumulants, empirical_mgf, simulate
+    from .mc import SimConfig, empirical_mgf, simulate
     from .models.bessel import bessel_laplace
     from .models.brownian import stopped_bm_cgf
-    from .models.chaos2 import chaos2_cumulants, constant_kernel
+    from .models.chaos2 import constant_kernel
 
     checks: List[Check] = []
 
     cfg = SimConfig("BMdrift", {"mu": 0.3, "sigma": 1.5}, paths, 1, 2.0, seed=seed)
-    est = empirical_cumulants(simulate(cfg), 4)
-    truth = {1: 0.6, 2: 4.5, 3: 0.0, 4: 0.0}
-    z = max(abs(e.value - truth[e.order]) / e.std_error for e in est)
-    checks.append(Check("drifted-BM cumulants 1..4 (SE units)", z, 3.0))
+    checks.append(_cumulant_check("drifted-BM cumulants 1..4 (SE units)", cfg, 1, 4))
 
     cfg = SimConfig("BESQ", {"x": 0.7, "delta": 2.0}, paths, 1, 1.0, seed=seed)
-    est_mgf = empirical_mgf(simulate(cfg), (-0.5, 0.0, 0.0))
-    z = abs(est_mgf.value - bessel_laplace(0.7, 2.0, 0.5, 1.0)) / est_mgf.std_error
-    checks.append(Check("squared-radius exact sampler vs transform (SE units)", z, 3.0))
+    est = empirical_mgf(simulate(cfg), (-0.5, 0.0, 0.0))
+    exact = bessel_laplace(0.7, 2.0, 0.5, 1.0)
+    name = "squared-radius exact sampler vs transform (SE units)"
+    checks.append(_z_check(name, [(est.value, est.std_error)], [exact]))
 
     cfg = SimConfig("LevyArea", {}, paths, steps, 1.0, seed=seed)
-    k2 = empirical_cumulants(simulate(cfg), 2)[1]
-    z = abs(k2.value - (1.0 - 1.0 / steps)) / k2.std_error
-    checks.append(Check("planar-area variance vs exact Euler law (SE units)", z, 3.0))
+    checks.append(_cumulant_check("planar-area variance vs exact Euler law (SE units)", cfg, 2, 2))
 
     cfg = SimConfig("StoppedBM", {"start": 0.2}, paths, steps, 8.0, seed=seed)
-    est_mgf = empirical_mgf(simulate(cfg), (0.4, 0.0, 0.0))
-    z = abs(est_mgf.log_value - stopped_bm_cgf(0.2, 0.4)) / est_mgf.log_std_error
-    checks.append(Check("stopped-BM exponent vs closed form (SE units)", z, 3.0))
+    est = empirical_mgf(simulate(cfg), (0.4, 0.0, 0.0))
+    name = "stopped-BM exponent vs closed form (SE units)"
+    checks.append(_z_check(name, [(est.log_value, est.log_std_error)], [stopped_bm_cgf(0.2, 0.4)]))
 
     kern = KernelSpec.exponential(nu=0.3, lam=1.0)
     sol = solve_riccati(kern, -0.7, 0.25, 0.1, 0.0, 0.1, horizon=1.0, n_steps=2048)
     mv = mgf_value(sol, 0.0, ForwardVarianceCurve.flat(0.04), 0.0, 0.0, 1.0)
-    cfg = SimConfig(
-        "Heston",
-        {"xi0": 0.04, "nu": 0.3, "lam": 1.0, "rho": -0.7},
-        paths,
-        steps,
-        1.0,
-        seed=seed,
-    )
-    est_mgf = empirical_mgf(simulate(cfg), (0.25, 0.1, 0.0))
-    z = abs(est_mgf.log_value - mv) / est_mgf.log_std_error
-    checks.append(Check("stochastic-volatility MGF vs solver (SE units)", z, 3.0))
+    heston = {"xi0": 0.04, "nu": 0.3, "lam": 1.0, "rho": -0.7}
+    cfg = SimConfig("Heston", heston, paths, steps, 1.0, seed=seed)
+    est = empirical_mgf(simulate(cfg), (0.25, 0.1, 0.0))
+    name = "stochastic-volatility MGF vs solver (SE units)"
+    checks.append(_z_check(name, [(est.log_value, est.log_std_error)], [mv]))
 
-    state = constant_kernel(1.0, 64)
-    kap = chaos2_cumulants(state, 3)
-    cfg = SimConfig("Chaos2", {"kernel": state.kernel}, paths, 64, 1.0, seed=seed)
-    est = empirical_cumulants(simulate(cfg), 3)
-    z = max(abs(e.value - kap[e.order - 1]) / e.std_error for e in est[1:])
-    checks.append(Check("second-chaos cumulants vs grid recursion (SE units)", z, 3.0))
+    cfg = SimConfig("Chaos2", {"kernel": constant_kernel(1.0, 64).kernel}, paths, 64, 1.0, seed)
+    name = "second-chaos cumulants vs spectral law (SE units)"
+    checks.append(_cumulant_check(name, cfg, 2, 3))
 
     return SuiteReport("mc-cross", checks)
 

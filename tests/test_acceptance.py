@@ -21,9 +21,8 @@ from diamond_forests.expansions import (
     specialize,
     spx_g_expansion,
 )
-from diamond_forests.models.levy import levy_alpha, levy_cgf
-from diamond_forests.models.bessel import bessel_laplace, bessel_laplace_series
-from diamond_forests.mc import SimConfig, empirical_cumulants, empirical_mgf, simulate
+from diamond_forests.models.levy import levy_alpha
+from diamond_forests.mc import SimConfig, empirical_mgf, simulate
 from diamond_forests.affine import (
     ForwardVarianceCurve,
     KernelSpec,
@@ -34,12 +33,7 @@ from diamond_forests.affine import (
     spx_expansion_value,
     tree_value,
 )
-from diamond_forests.verification import (
-    log_cosh_taylor_coefficients,
-    run_suite,
-    tan_taylor_coefficients,
-)
-from diamond_forests.models.signature import cameron_martin_cgf_coeffs
+from diamond_forests.verification import run_suite
 
 
 def report(num: int, ok: bool, detail: str) -> bool:
@@ -123,60 +117,35 @@ def test_criterion_04_cancellations():
 
 def test_criterion_05_levy_area():
     t0 = time.perf_counter()
-    alphas = levy_alpha(12)
-    tan_coeffs = tan_taylor_coefficients(11)
-    series_ok = all(
-        alphas[n] == tan_coeffs.get(n - 1, Fraction(0)) for n in range(2, 13)
-    )
-    cgf_gap = abs(levy_cgf(0.5, 20) + math.log(math.cos(0.5)))
-    cfg = SimConfig("LevyArea", {}, 1_000_000, 512, 1.0, 42)
-    k2 = empirical_cumulants(simulate(cfg), 2)[1]
-    z = abs(k2.value - 1.0) / k2.std_error
+    rep = run_suite("levy", T=0.5, order=20, paths=1_000_000, steps=512, seed=42)
+    _, cgf, variance = rep.checks
+    # the suite pins the even coefficients; the odd ones vanish
+    odd_zero = all(c == 0 for n, c in levy_alpha(12).items() if n % 2)
     elapsed = time.perf_counter() - t0
-    ok = series_ok and cgf_gap <= 1e-8 and z <= 3.0 and elapsed < 60.0
+    ok = rep.passed and odd_zero and elapsed < 60.0
     assert report(
         5,
         ok,
-        f"tangent coefficients exact to order 12, cgf gap {cgf_gap:.1e}, "
-        f"kappa_2 z={z:.2f} at 1e6 paths, {elapsed:.0f}s",
+        f"tangent coefficients exact to order 12, cgf gap {cgf.measured:.1e}, "
+        f"kappa_2 z={variance.measured:.2f} at 1e6 paths against 1 - 1/512, {elapsed:.0f}s",
     )
 
 
 def test_criterion_06_cameron_martin():
-    coeffs = cameron_martin_cgf_coeffs(10)
-    d = log_cosh_taylor_coefficients(10)
-    oracle = {n: -Fraction(1, 2) * d[n] * 2**n for n in range(1, 11)}
-    series_ok = all(coeffs[n] == oracle[n] for n in range(1, 11))
-    pinned = (
-        coeffs[1] == Fraction(-1, 2)
-        and coeffs[2] == Fraction(1, 6)
-        and coeffs[3] == Fraction(-4, 45)
+    rep = run_suite("cameron-martin", order=10)
+    assert report(
+        6, rep.passed, "q_n/(2n) equals the -1/2 log cosh sqrt(2 lambda) series to order 10"
     )
-    ok = series_ok and pinned
-    assert report(6, ok, "q_n/(2n) equals the -1/2 log cosh sqrt(2 lambda) series to order 10")
 
 
 def test_criterion_07_squared_bessel():
-    worst_gap = 0.0
-    for lam in (0.1, 0.5):
-        for delta in (0.0, 1.0, 2.0):
-            gap = abs(
-                bessel_laplace(1.0, delta, lam, 1.0)
-                - bessel_laplace_series(1.0, delta, lam, 1.0)
-            )
-            worst_gap = max(worst_gap, gap)
-    worst_z = 0.0
-    for delta in (0.0, 1.0, 2.0):
-        cfg = SimConfig("BESQ", {"x": 1.0, "delta": delta}, 1_000_000, 1, 1.0, 7)
-        draws = simulate(cfg).column("X")
-        for lam in (0.1, 0.5):
-            vals = np.exp(-lam * draws)
-            se = float(vals.std(ddof=1)) / math.sqrt(vals.size)
-            z = abs(float(vals.mean()) - bessel_laplace(1.0, delta, lam, 1.0)) / se
-            worst_z = max(worst_z, z)
-    ok = worst_gap <= 1e-8 and worst_z <= 3.0
+    rep = run_suite("bessel", paths=1_000_000, seed=7)
+    series, mc = rep.checks
     assert report(
-        7, ok, f"series gap <= {worst_gap:.1e}, exact-sampler worst z={worst_z:.2f} at 1e6 draws"
+        7,
+        rep.passed,
+        f"series gap <= {series.measured:.1e}, exact-sampler worst z={mc.measured:.2f} "
+        "at 1e6 draws",
     )
 
 
@@ -239,8 +208,7 @@ def test_criterion_10_heston_cross_validation():
         "Heston", {"xi0": 0.04, "nu": 0.3, "lam": 1.0, "rho": rho}, 1_000_000, 256, 1.0, 42
     )
     est = empirical_mgf(simulate(cfg), (a, b, c))
-    log_se = est.std_error / est.value
-    z = abs(math.log(est.value) - truth) / log_se
+    z = abs(est.log_value - truth) / est.log_std_error
 
     expansion = spx_g_expansion(7)
     approx6 = spx_expansion_value(

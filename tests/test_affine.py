@@ -57,18 +57,32 @@ def test_kernel_validation():
             KernelSpec.flat(nu=nu)
     with pytest.raises(ValueError, match="unknown kernel kind"):
         KernelSpec(kind="constant", nu=1.0)
+    # a parameter the kind never reads is refused, not ignored
+    for kind, args, unread in (
+        ("flat", dict(lam=5.0), "lam"),
+        ("flat", dict(alpha=0.7), "alpha"),
+        ("flat", dict(lam=5.0, alpha=0.7), "lam or alpha"),
+        ("exp", dict(lam=1.0, alpha=0.6), "alpha"),
+        ("power", dict(lam=1.0, alpha=0.6), "lam"),
+    ):
+        with pytest.raises(ValueError, match=f"{kind} kernel takes no {unread}$"):
+            KernelSpec(kind, 1.0, **args)
+    with pytest.raises(ValueError):
+        KernelSpec("flat", 1.0, lam=5.0, alpha=math.nan)
+    for kern in (KernelSpec.exponential(0.3, 1.0), KernelSpec.power_law(0.3, 0.6),
+                 KernelSpec.flat(2.0)):
+        assert KernelSpec(kern.kind, kern.nu, kern.lam, kern.alpha) == kern
 
 
-@pytest.mark.parametrize("name", ["nu", "lam"])
+@pytest.mark.parametrize("name", ["nu", "lam", "alpha"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_kernel_rejects_non_finite_parameters(name, value):
-    args = dict(nu=0.3, lam=1.0)
-    args[name] = value
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
-        KernelSpec.exponential(**args)
-    if name == "nu":
-        with pytest.raises(ValueError, match="nu must be finite"):
-            KernelSpec.flat(nu=value)
+    # on every kind, whether or not the kind reads the parameter
+    for kind, args in (("exp", dict(lam=1.0)), ("power", dict(alpha=0.6)), ("flat", {})):
+        args = dict(args, nu=0.3)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            KernelSpec(kind, **args)
 
 
 @pytest.mark.parametrize("kern", [EXP, POW], ids=["exp", "power"])

@@ -93,6 +93,13 @@ def test_gamma_refuses_non_finite_weight(bad):
         bessel_gamma(4, lambda s: np.where(s > 0.5, bad, 1.0), 0.0, 1.0, grid=16)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_psi_series_refuses_non_finite_lam(bad):
+    st = bessel_gamma(4, "dirac", 0.0, 1.0, grid=16)
+    with pytest.raises(ValueError, match="lam must be finite"):
+        psi_series(st, bad)
+
+
 def test_psi_series_vs_ode_smooth_weight():
     lam, T = 0.3, 1.0
 

@@ -15,6 +15,7 @@ from diamond_forests.models.chaos2 import (
     constant_kernel,
     eigenvalue_cumulants,
     kernel_from_function,
+    spectral_cumulants,
 )
 
 
@@ -233,3 +234,11 @@ def test_diamond_matches_the_two_product_reference(pair):
 def test_non_finite_scale_is_refused(q):
     with pytest.raises(ValueError, match="finite"):
         constant_kernel(1.0, 4).scale(q)
+
+
+def test_spectral_cumulants_of_the_laplace_law():
+    # a standard Laplace is (Z1^2 + Z2^2 - Z3^2 - Z4^2) / 2: kappa_2j = 2 (2j-1)!
+    got = spectral_cumulants(np.array([0.5, 0.5, -0.5, -0.5]), 6)
+    assert got == [0.0, 2.0, 0.0, 12.0, 0.0, 240.0]
+    with pytest.raises(ValueError, match="n_max"):
+        spectral_cumulants(np.ones(3), 0)

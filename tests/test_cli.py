@@ -617,6 +617,7 @@ EXACT_COMMANDS = {
     "verify-reorder": ["verify", "reorder", "--order", "6"],
     "verify-levy": ["verify", "levy"],
     "verify-cameron-martin": ["verify", "cameron-martin"],
+    "verify-bessel": ["verify", "bessel"],
 }
 
 

@@ -2,6 +2,8 @@
 
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -23,11 +25,17 @@ from diamond_forests.mc import (
     _thread_cap,
     empirical_cumulants,
     empirical_mgf,
+    exact_cumulants,
     simulate,
 )
 from diamond_forests.models.bessel import bessel_laplace
 from diamond_forests.models.brownian import stopped_bm_cgf
-from diamond_forests.models.chaos2 import chaos2_cumulants, kernel_from_function
+from diamond_forests.models.chaos2 import (
+    chaos2_cumulants,
+    eigenvalue_cumulants,
+    kernel_from_function,
+)
+from diamond_forests.models.levy import levy_alpha
 
 
 def test_config_validation():
@@ -53,10 +61,61 @@ def test_config_validation():
 
 def test_bm_drift_matches_law():
     cfg = SimConfig("BMdrift", {"mu": 0.3, "sigma": 1.5}, 200_000, 1, 2.0, seed=11)
-    est = empirical_cumulants(simulate(cfg), 4)
-    truth = {1: 0.6, 2: 4.5, 3: 0.0, 4: 0.0}
-    for e in est:
-        assert abs(e.value - truth[e.order]) <= 3 * e.std_error
+    for e, want in zip(empirical_cumulants(simulate(cfg), 4), exact_cumulants(cfg, 4)):
+        assert abs(e.value - want) <= 3 * e.std_error
+
+
+def test_exact_cumulants_of_the_gaussian_engine():
+    cfg = SimConfig("BMdrift", {"mu": 0.3, "sigma": 1.5}, 1000, 1, 2.0, seed=0)
+    assert exact_cumulants(cfg, 6) == [0.6, 4.5, 0.0, 0.0, 0.0, 0.0]
+    assert exact_cumulants(cfg, 1) == [0.6]
+    assert exact_cumulants(SimConfig("BMdrift", {}, 1000, 1, 0.5, seed=0), 3) == [0.0, 0.5, 0.0]
+    with pytest.raises(ValueError, match="max_order"):
+        exact_cumulants(cfg, 0)
+
+
+@pytest.mark.parametrize("n", [2, 7, 512])
+def test_exact_levy_area_variance_is_the_euler_variance(n):
+    # left-point Euler gives Var = T^2 (1 - 1/n) exactly
+    T = 1.3
+    k2 = exact_cumulants(SimConfig("LevyArea", {}, 1000, n, T, seed=0), 2)[1]
+    assert k2 == pytest.approx(T * T * (1.0 - 1.0 / n), rel=1e-12)
+
+
+def test_exact_chaos2_cumulants_are_the_eigenvalue_cumulants():
+    F = kernel_from_function(lambda s, u: 1.0 + 0.5 * s * u, 1.5, 32)
+    cfg = SimConfig("Chaos2", {"kernel": F.kernel}, 1000, 32, 1.5, seed=0)
+    assert exact_cumulants(cfg, 6) == eigenvalue_cumulants(F, 6)
+
+
+@pytest.mark.parametrize("model", ["BESQ", "Heston", "StoppedBM"])
+def test_exact_cumulants_refuse_a_model_without_a_cumulant_law(model):
+    cfg = SimConfig(model, {}, 1000, 8, 1.0, seed=0)
+    with pytest.raises(ValueError, match=f"model {model} has no exact cumulant law"):
+        exact_cumulants(cfg, 2)
+
+
+def test_mc_import_loads_no_model_or_solver():
+    code = ("import sys, diamond_forests.mc; "
+            "assert 'diamond_forests.models.chaos2' not in sys.modules; "
+            "assert 'diamond_forests.affine' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("n", [128, 256, 512, 1024])
+def test_levy_area_scheme_gap_to_the_continuous_law(n):
+    # the continuous area has kappa_m = (m-1)! alpha_m T^m; the Euler scheme
+    # misses kappa_2 by exactly -T^2 / n, and kappa_4, kappa_6 by about
+    # -8 T^4 / n^2 and -80 T^6 / n^2: second order from order 4 on
+    T = 1.2
+    alphas = levy_alpha(6)
+    exact = exact_cumulants(SimConfig("LevyArea", {}, 1000, n, T, seed=0), 6)
+    gap = {m: exact[m - 1] - math.factorial(m - 1) * float(alphas[m]) * T**m for m in (2, 4, 6)}
+    assert gap[2] == pytest.approx(-T * T / n, rel=0.0, abs=1e-14)
+    assert n * n * gap[4] == pytest.approx(-8.0 * T**4, rel=0.01)
+    assert n * n * gap[6] == pytest.approx(-80.0 * T**6, rel=0.01)
 
 
 HESTON = {"xi0": 0.04, "nu": 0.3, "lam": 1.0, "rho": -0.7}
@@ -136,11 +195,11 @@ def test_euler_area_matrix_eigenvalues_are_cotangents(n):
 
 @pytest.mark.parametrize("n", [7, 16])
 def test_levy_area_samplers_meet_the_exact_discrete_cumulants(n):
-    # Laplace has kappa_2j = 2 (2j-1)!, so kappa_2j(A) = 2 (2j-1)! sum_k s_k^2j
-    s = mc._levy_weights(n, 1.0)
-    want = {2: 2.0 * np.sum(s**2), 4: 12.0 * np.sum(s**4)}
+    # both samplers against the exact discrete law, whose variance is pinned
+    cfg =SimConfig("LevyArea", {}, 200_000, n, 1.0, seed=31)
+    want = dict(enumerate(exact_cumulants(cfg, 4), start=1))
     assert want[2] == pytest.approx(1.0 - 1.0 / n, rel=1e-12)
-    exact = simulate(SimConfig("LevyArea", {}, 200_000, n, 1.0, seed=31)).column("A")
+    exact = simulate(cfg).column("A")
     euler = _euler_levy_area(n, 1.0, np.random.Generator(np.random.Philox(key=[31, 0])), 200_000)
     for sample in (exact, euler):
         est = empirical_cumulants(sample, 4)
@@ -150,8 +209,9 @@ def test_levy_area_samplers_meet_the_exact_discrete_cumulants(n):
 
 
 def test_one_step_levy_area_is_zero():
-    a = simulate(SimConfig("LevyArea", {}, 1000, 1, 1.0, seed=4)).column("A")
-    assert not a.any()
+    cfg = SimConfig("LevyArea", {}, 1000, 1, 1.0, seed=4)
+    assert not simulate(cfg).column("A").any()
+    assert exact_cumulants(cfg, 6) == [0.0] * 6
 
 
 def test_levy_area_variance_with_euler_bias():
@@ -161,7 +221,7 @@ def test_levy_area_variance_with_euler_bias():
         cfg = SimConfig("LevyArea", {}, 200_000, n, 1.0, seed=9)
         est = empirical_cumulants(simulate(cfg), 2)
         k2[n] = est[1]
-        assert abs(est[1].value - (1.0 - 1.0 / n)) <= 3 * est[1].std_error
+        assert abs(est[1].value - exact_cumulants(cfg, 2)[1]) <= 3 * est[1].std_error
     band = 3 * math.hypot(k2[128].std_error, k2[256].std_error)
     assert abs(k2[128].value - k2[256].value) <= band
 
