@@ -293,10 +293,6 @@ def _tree_grid(
 ) -> Tuple[np.ndarray, _Convolution, np.ndarray]:
     """What every tree on one tau-grid shares: the grid, its convolution and the
     zeta-leaf loading kappa_bar."""
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
-    if n_steps < 2:
-        raise ValueError("n_steps must be >= 2")
     grid = np.linspace(0.0, horizon, n_steps + 1)
     return grid, _Convolution(kernel, grid), kappa_bar(kernel, grid, delta)
 
@@ -392,11 +388,10 @@ def tree_value(
 
     Base pairs: (X <> X) -> 1, (X <> zeta) -> rho kappa_bar, (zeta <> zeta)
     -> kappa_bar^2; an internal subtree enters through kappa * h_subtree.
-    The tree is walked node by node.  A single leaf is not a diamond tree,
-    and an h that is not finite on the grid raises ``DomainError``.
+    The tree is walked node by node.  It refuses what ``spx_exponent`` does,
+    and a single leaf; an h that is not finite on the grid raises ``DomainError``.
     """
-    if not T > t:
-        raise ValueError("need t < T")
+    _check_inputs(rho, n_steps, {"delta": delta, "t": t, "T": T}, T - t, "need t < T")
     grid, convolve, kbar = _tree_grid(kernel, delta, T - t, n_steps)
     if tree.label is not None:
         raise ValueError("a single leaf is not a diamond tree (needs >= 2 leaves)")
@@ -579,13 +574,17 @@ def _riccati_march(
     return march.g
 
 
-def _check_inputs(rho: float, n_steps: int, values: Dict[str, float]) -> None:
-    """Refusals that ``solve_riccati`` and ``spx_exponent`` share."""
+def _check_inputs(rho: float, n_steps: int, values: Dict[str, float], window: float,
+                  empty: str) -> None:
+    """Refusals that ``solve_riccati``, ``tree_value`` and ``spx_exponent``
+    share; a grid ``window`` that is not positive raises ``ValueError(empty)``."""
     if not -1.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [-1, 1]")
     require_finite(**values)
     if not MIN_STEPS <= n_steps <= MAX_STEPS:
         raise ValueError(f"n_steps must lie in [{MIN_STEPS}, {MAX_STEPS}], got {n_steps}")
+    if not window > 0:
+        raise ValueError(empty)
 
 
 def solve_riccati(
@@ -608,9 +607,8 @@ def solve_riccati(
     against a half-resolution solve, a practical error estimate at first
     order.
     """
-    _check_inputs(rho, n_steps, {"a": a, "b": b, "c": c, "delta": delta, "horizon T": horizon})
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
+    values = {"a": a, "b": b, "c": c, "delta": delta, "horizon T": horizon}
+    _check_inputs(rho, n_steps, values, horizon, "horizon must be positive")
     grid = np.linspace(0.0, horizon, n_steps + 1)
     g = _riccati_march(kernel, rho, a, b, c, delta, grid)
     half = _riccati_march(kernel, rho, a, b, c, delta, grid[::2])
@@ -798,9 +796,7 @@ def spx_exponent(
     if order < 2:
         raise ValueError("order must be >= 2")
     values = {"a": a, "b": b, "c": c, "delta": delta, "x": x, "zeta": zeta, "t": t, "T": T}
-    _check_inputs(rho, n_steps, values)
-    if not T > t:
-        raise ValueError("need t < T")
+    _check_inputs(rho, n_steps, values, T - t, "need t < T")
     grid, convolve, kbar = _tree_grid(kernel, delta, T - t, n_steps)
     leaves = _leaf_states(convolve, rho, kbar)
     states = cumulant_states(_spx_seeds(leaves["Y"], leaves["zeta"], a, b, c), order)

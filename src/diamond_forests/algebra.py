@@ -532,10 +532,9 @@ class Tree:
         return (join, (self.left, self.right))
 
     def diamond_text(self) -> str:
-        """Human-readable form with an explicit diamond, e.g. ``((Y⋄Y)⋄Y)``."""
-        if self.is_leaf():
-            return self.label  # type: ignore[return-value]
-        return f"({self.left.diamond_text()}⋄{self.right.diamond_text()})"  # type: ignore[union-attr]
+        """Human-readable form with an explicit diamond, e.g. ``((Y⋄Y)⋄Y)``:
+        the shape with its commas, which no leaf label contains, as diamonds."""
+        return self.shape.replace(",", "⋄")
 
 
 # The intern tables: every tree ever made, by label and by (child, child) in

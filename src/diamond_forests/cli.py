@@ -256,10 +256,7 @@ def cmd_expand(args) -> dict:
                 bindings[sym.strip()] = parse_poly(expr.strip())
             except ValueError as exc:
                 raise UsageError(f"cannot parse binding {spec!r}: {exc}") from exc
-        try:
-            result = specialize(result, bindings)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        result = specialize(result, bindings)  # a ValueError exits 2 like a UsageError
     orders = {
         str(n): [{"tree": t, "coeff": str(p)} for t, p in forest]
         for n, forest in result.orders.items()
@@ -324,6 +321,9 @@ def cmd_chaos2(args) -> dict:
     _flag("order", args.order, 1, "the cumulants")
     if (args.kernel is None) == (args.flat is None):
         raise UsageError("provide exactly one of --kernel FILE or --flat VALUE")
+    _grid_horizon(args.T)
+    if args.flat is not None and not math.isfinite(args.flat):
+        raise UsageError(f"--flat must be finite, got {args.flat}")
     if args.kernel is not None:
         state = read_kernel_csv(args.kernel, args.T)
     else:
@@ -358,6 +358,12 @@ def cmd_signature(args) -> dict:
     if args.T is not None:
         result["time_zero_value"] = expr.evaluate(args.T)
     return result
+
+
+def _grid_horizon(T: float) -> None:
+    """Refuse a kernel grid's ``--T`` under the flag's name, before ``Chaos2State``."""
+    if not (math.isfinite(T) and T > 0):
+        raise UsageError(f"--T must be finite and positive for the kernel grid, got {T}")
 
 
 def _flag(
@@ -423,17 +429,15 @@ def cmd_mc(args) -> dict:
             raise UsageError(
                 f"--kernel is read only by model {', '.join(readers)}, not {args.model}"
             )
+        _grid_horizon(args.T)
         params["kernel"] = read_kernel_csv(args.kernel, args.T).kernel
     steps = _flag("steps", args.steps, 1, "the simulation")
     paths = _flag("paths", args.paths, MIN_PATHS, "the simulation", MAX_PATHS)
     max_order = _flag(
         "max-order", args.max_order, 1, "the cumulant estimates", MAX_CUMULANT_ORDER
     )
-    try:
-        cfg = SimConfig(args.model, params, paths, steps, args.T, args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    samples = simulate(cfg)
+    # a refused config raises ValueError, which exits 2 like a UsageError
+    samples = simulate(SimConfig(args.model, params, paths, steps, args.T, args.seed))
     result: Dict[str, object] = {
         "columns": sorted(samples.columns),
         "n_paths": samples.n,
@@ -626,12 +630,7 @@ def _merge_config_tokens(argv: Sequence[str]) -> List[str]:
     for key, val in read_config_file(path):
         if key in ("suite",):
             raise UsageError("the verify suite must be given on the command line")
-        flag = f"--{key}"
-        if val.lower() in ("true", "false"):
-            if val.lower() == "true":
-                inserted.append(flag)
-        else:
-            inserted.extend([flag, val])
+        inserted.extend([f"--{key}", val])
     return [argv[0], *inserted, *argv[1:]]
 
 

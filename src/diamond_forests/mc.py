@@ -18,6 +18,10 @@ mixing argument of Romano and Touzi, Math. Finance 1997, and Willard,
 J. Derivatives 1997, applied to the discrete scheme).  The stopped Brownian
 motion walks its bridge-corrected Euler path, but draws and tests only the
 paths still alive.
+
+``MODEL_PARAMS`` holds each model's parameters and defaults.  A ``SimConfig``
+refuses an unknown or missing one when it is built, and checks a ``Chaos2``
+kernel there by ``models.chaos2.Chaos2State``, the one second-chaos kernel check.
 """
 
 from __future__ import annotations
@@ -63,14 +67,14 @@ DRAW_CHUNK = 1 << 16
 # 0.39 s at M = 128; medians of 5), with bit-identical samples.
 CHAOS2_SLAB = 1 << 18
 THREADS_ENV = "DIAMOND_FORESTS_THREADS"
-# each model and the parameter names it reads; any other name is refused
-MODEL_PARAMS = {
-    "BMdrift": ("mu", "sigma"),
-    "LevyArea": (),
-    "BESQ": ("x", "delta"),
-    "Heston": ("xi0", "nu", "lam", "rho", "window"),
-    "StoppedBM": ("start",),
-    "Chaos2": ("kernel",),
+# each model's parameters and their defaults (None: required); other names are refused
+MODEL_PARAMS: Dict[str, Dict[str, Optional[float]]] = {
+    "BMdrift": {"mu": 0.0, "sigma": 1.0},
+    "LevyArea": {},
+    "BESQ": {"x": None, "delta": None},
+    "Heston": {"xi0": None, "nu": None, "lam": None, "rho": None, "window": 0.1},
+    "StoppedBM": {"start": 0.0},
+    "Chaos2": {"kernel": None},
 }
 MODELS = tuple(MODEL_PARAMS)
 
@@ -100,21 +104,24 @@ class SimConfig:
             raise ValueError(f"n_paths must lie in [{MIN_PATHS}, {MAX_PATHS}]")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        require_finite(horizon=self.horizon)
-        require_finite(**{k: v for k, v in self.params.items() if isinstance(v, (int, float))})
+        numbers = {k: v for k, v in self.params.items() if isinstance(v, (int, float))}
+        require_finite(horizon=self.horizon, **numbers)
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
-        if self.model == "Chaos2" and "kernel" not in self.params:
-            raise ValueError("model Chaos2 needs a kernel (--kernel FILE)")
+        for name, default in MODEL_PARAMS[self.model].items():
+            if default is None and name not in self.params:
+                what = "a kernel (--kernel FILE)" if name == "kernel" else f"parameter {name!r}"
+                raise ValueError(f"model {self.model} needs {what}")
+        if self.model == "Chaos2":
+            from .models.chaos2 import Chaos2State
+
+            Chaos2State(self.params["kernel"], 0.0, self.horizon)
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 
-    def param(self, name: str, default: Optional[float] = None) -> float:
-        if name in self.params:
-            return float(self.params[name])  # type: ignore[arg-type]
-        if default is None:
-            raise ValueError(f"model {self.model} needs parameter {name!r}")
-        return default
+    def param(self, name: str) -> float:
+        """The value of parameter ``name``, else its default in ``MODEL_PARAMS``."""
+        return float(self.params.get(name, MODEL_PARAMS[self.model][name]))  # type: ignore
 
 
 @dataclass(frozen=True)
@@ -171,8 +178,8 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def _sim_bm_drift(cfg: SimConfig, rng: np.random.Generator, m: int) -> Dict[str, np.ndarray]:
-    mu = cfg.param("mu", 0.0)
-    sigma = cfg.param("sigma", 1.0)
+    mu = cfg.param("mu")
+    sigma = cfg.param("sigma")
     if sigma < 0:
         raise DomainError("sigma must be nonnegative")
     T = cfg.horizon
@@ -237,7 +244,7 @@ def _sim_heston(cfg: SimConfig, rng: np.random.Generator, m: int) -> Dict[str, n
     nu = cfg.param("nu")
     lam = cfg.param("lam")
     rho = cfg.param("rho")
-    window = cfg.param("window", 0.1)
+    window = cfg.param("window")
     if xi0 < 0 or nu < 0 or lam <= 0 or window <= 0:
         raise DomainError("need xi0 >= 0, nu >= 0, lam > 0, window > 0")
     if not -1.0 <= rho <= 1.0:
@@ -272,7 +279,7 @@ def _sim_stopped_bm(cfg: SimConfig, rng: np.random.Generator, m: int) -> Dict[st
     per live path, in the order of the live index, and the loop ends once no
     path is alive.  A path started on a barrier is stopped at time 0.
     """
-    start = cfg.param("start", 0.0)
+    start = cfg.param("start")
     if not -1.0 <= start <= 1.0:
         raise DomainError("start must lie in [-1, 1]")
     n = cfg.n_steps
@@ -305,15 +312,7 @@ def _sim_stopped_bm(cfg: SimConfig, rng: np.random.Generator, m: int) -> Dict[st
 
 
 def _sim_chaos2(cfg: SimConfig, rng: np.random.Generator, m: int) -> Dict[str, np.ndarray]:
-    kernel = np.asarray(cfg.params["kernel"], dtype=float)
-    if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
-        raise DomainError("chaos kernel must be a square matrix")
-    if kernel.shape[0] < 1:
-        raise DomainError("chaos kernel needs at least one grid point (M >= 1)")
-    if not np.all(np.isfinite(kernel)):
-        raise DomainError("chaos kernel must be finite")
-    if np.any(np.tril(kernel) != 0.0):
-        raise DomainError("chaos kernel must be strictly upper triangular")
+    kernel = np.asarray(cfg.params["kernel"], dtype=float)  # checked by SimConfig
     M = kernel.shape[0]
     h = cfg.horizon / M
     sh = math.sqrt(h)
@@ -348,7 +347,7 @@ def exact_cumulants(cfg: SimConfig, max_order: int) -> List[float]:
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     if cfg.model == "BMdrift":
-        law = [cfg.param("mu", 0.0) * cfg.horizon, cfg.param("sigma", 1.0) ** 2 * cfg.horizon]
+        law = [cfg.param("mu") * cfg.horizon, cfg.param("sigma") ** 2 * cfg.horizon]
         return (law + [0.0] * max_order)[:max_order]
     if cfg.model == "LevyArea":
         s = 0.5 * _levy_weights(cfg.n_steps, cfg.horizon)

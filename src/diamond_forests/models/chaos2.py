@@ -28,6 +28,7 @@ from typing import Callable, List
 
 import numpy as np
 
+from ..errors import DomainError
 from ..recursion import cumulant_states
 
 __all__ = [
@@ -45,12 +46,13 @@ class Chaos2State:
     """Kernel-plus-scalar state on the discretized simplex.
 
     ``kernel[i, j]`` approximates f(w_i, w_j) at left points w_i = i h,
-    h = T / M, and is strictly upper triangular (support w < v): like the
-    sampler, the state refuses any nonzero entry on or below the diagonal,
-    however small.  ``scalar`` is the accumulated deterministic part at the
-    evaluation time.  ``+``, ``scale`` and ``diamond`` of valid states build
-    strictly upper triangular kernels by construction, so their results skip
-    the check.
+    h = T / M, and is finite and strictly upper triangular (support w < v):
+    the state, the one kernel check (the sampler's ``SimConfig`` runs it),
+    refuses any nonzero entry on or below the diagonal, however small, and a
+    ``T`` that is not finite and positive, with ``DomainError``.  ``scalar``
+    is the accumulated deterministic part at the evaluation time.  ``+``,
+    ``scale`` and ``diamond`` of valid states build strictly upper triangular
+    kernels by construction, so their results skip the check.
     """
 
     kernel: np.ndarray
@@ -60,11 +62,15 @@ class Chaos2State:
     def __post_init__(self):
         k = np.asarray(self.kernel, dtype=float)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
-            raise ValueError("kernel must be a square matrix")
+            raise DomainError("kernel must be a square matrix")
         if k.shape[0] < 1:
-            raise ValueError("kernel needs at least one grid point (M >= 1)")
+            raise DomainError("kernel needs at least one grid point (M >= 1)")
+        if not np.all(np.isfinite(k)):
+            raise DomainError("kernel must be finite")
         if np.any(np.tril(k) != 0.0):
-            raise ValueError("kernel must be strictly upper triangular (w < v)")
+            raise DomainError("kernel must be strictly upper triangular (w < v)")
+        if not (isfinite(self.T) and self.T > 0):
+            raise DomainError(f"T must be finite and positive, got {self.T}")
         object.__setattr__(self, "kernel", np.triu(k, 1))
 
     @classmethod

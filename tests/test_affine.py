@@ -104,6 +104,13 @@ def test_kappa_bar_closed_forms_at_zero():
     )
 
 
+@pytest.mark.parametrize("delta, tau", [(0.0, 0.5), (-0.1, 0.5), (0.1, [0.5, -1e-9])],
+                         ids=["delta-zero", "delta-negative", "tau-negative"])
+def test_kappa_bar_refuses_an_empty_window_or_a_negative_lag(delta, tau):
+    with pytest.raises(ValueError, match="delta must be positive" if delta <= 0 else "tau must"):
+        kappa_bar(EXP, tau, delta)
+
+
 @pytest.mark.parametrize("kern", [EXP, POW], ids=["exp", "power"])
 def test_kappa_bar_small_window_limit(kern):
     # kappa_bar(tau)/delta -> kappa(tau) as the window shrinks
@@ -159,6 +166,11 @@ def test_curve_validation_and_interpolation():
         ForwardVarianceCurve.flat(-0.1)
     with pytest.raises(ValueError):
         ForwardVarianceCurve.sampled([0.0, 1.0], [0.04, -0.01])
+    with pytest.raises(ValueError, match="matching 1-d arrays"):
+        ForwardVarianceCurve.sampled([0.0, 1.0, 2.0], [0.04, 0.05])
+    for times in ([0.0, 1.0, 1.0], [0.0, 2.0, 1.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ForwardVarianceCurve.sampled(times, [0.04, 0.05, 0.06])
     crv = ForwardVarianceCurve.sampled([0.0, 1.0, 2.0], [0.04, 0.06, 0.02])
     assert crv(0.5) == pytest.approx(0.05)
     assert crv(2.0) == pytest.approx(0.02)
@@ -547,6 +559,12 @@ def test_heston_closed_form_pole_in_window_raises(rho, a, b, pole):
         heston_ode_reference(kern, rho, a, b, np.linspace(0.0, 1.01 * pole, 33))
 
 
+@pytest.mark.parametrize("kern", [POW, FLAT], ids=["power", "flat"])
+def test_heston_closed_form_refuses_a_non_exponential_kernel(kern):
+    with pytest.raises(ValueError, match="only covers the exponential kernel"):
+        heston_ode_reference(kern, -0.7, 0.25, 0.1, np.linspace(0.0, 1.0, 9))
+
+
 def test_interpolator_is_bitwise_scipy_pchip():
     rng = np.random.default_rng(11)
     for trial in range(40):
@@ -681,6 +699,32 @@ def test_mgf_value_trivial_and_horizon_guard():
     assert mgf_value(sol, x=0.7, curve=crv, zeta=0.3, t=0.0, T=1.0) == 0.0
     with pytest.raises(ValueError):
         mgf_value(sol, x=0.0, curve=crv, zeta=0.0, t=0.0, T=2.0)
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [ForwardVarianceCurve.flat(0.04),
+     ForwardVarianceCurve.sampled([0.0, 0.5, 1.0], [0.04, 0.05, 0.03])],
+    ids=["flat", "sampled"],
+)
+@pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
+def test_mgf_value_closes_a_window_between_nodes(curve, frac):
+    # A window T - t between two nodes is closed by the interpolant of g; a
+    # solve whose grid ends at the window needs no close.  On the power-law
+    # kernel each solve's g is within about its solver_tolerance of the
+    # continuous g (the march is first order there), so the two exponents
+    # differ by at most (tol_1 + tol_2) times the integral of xi.
+    n, t = 256, 0.2
+    tau = (179 + frac) / n
+    args = (POW, -0.7, 0.25, 0.1, 0.1, 0.1)
+    long = solve_riccati(*args, horizon=1.0, n_steps=n)
+    fitted = solve_riccati(*args, horizon=tau, n_steps=n)
+    assert np.min(np.abs(long.grid - tau)) >= 0.09 / n and fitted.grid[-1] == tau
+    got = mgf_value(long, 0.3, curve, 0.2, t, t + tau)
+    want = mgf_value(fitted, 0.3, curve, 0.2, t, t + tau)
+    u = np.linspace(t, t + tau, 4097)
+    bound = (long.solver_tolerance + fitted.solver_tolerance) * np.trapezoid(curve(u), u)
+    assert abs(got - want) <= bound
 
 
 @pytest.mark.parametrize("name", ["x", "zeta"])
@@ -904,6 +948,11 @@ def test_expansion_refuses_out_of_domain_inputs(name, value, message):
     args[name] = value
     with pytest.raises(ValueError, match=message):
         spx_expansion_value(4, spx_g_expansion(4).orders, **args)
+    # one tree refuses the grid inputs it shares with the exponent
+    shared = ("kernel", "rho", "delta", "curve", "t", "T", "n_steps")
+    if name in shared:
+        with pytest.raises(ValueError, match=message):
+            tree_value(join(Y, Z), **{k: args[k] for k in shared})
 
 
 def test_spx_exponent_refuses_an_overflowed_exponent():

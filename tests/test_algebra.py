@@ -106,6 +106,23 @@ def test_leaf_label_validation():
         leaf("")
 
 
+def diamond_text_by_recursion(tree):
+    """The diamond form built node by node: the reference for the shape rewrite."""
+    if tree.is_leaf():
+        return tree.label
+    return f"({diamond_text_by_recursion(tree.left)}⋄{diamond_text_by_recursion(tree.right)})"
+
+
+def test_diamond_text_is_the_shape_with_diamonds():
+    from diamond_forests.expansions import spx_g_expansion
+
+    assert CHAIN3.diamond_text() == "((Y⋄Y)⋄Y)" and Y.diamond_text() == "Y"
+    forest_trees = [t for f in spx_g_expansion(9).orders.values() for t, _ in f]
+    assert len(forest_trees) == 11826
+    for tree in forest_trees:
+        assert tree.diamond_text() == diamond_text_by_recursion(tree)
+
+
 # --- forests ------------------------------------------------------------------
 
 

@@ -87,6 +87,28 @@ def test_gamma_refuses_non_finite_times(name, value):
         bessel_gamma(4, lambda s: np.ones_like(s), grid=16, **args)
 
 
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        (dict(n_max=5), ValueError, "n_max must be an even integer"),
+        (dict(n_max=0), ValueError, "n_max must be an even integer"),
+        (dict(t=1.0), DomainError, "need t < T"),
+        (dict(t=1.5), DomainError, "need t < T"),
+        (dict(grid=1), ValueError, "grid must have at least 2 points"),
+        (dict(mu="delta"), ValueError, "unknown weight spec 'delta'"),
+        (dict(mu=lambda s: np.ones(3)), ValueError, "mu\\(s\\) must return an array matching"),
+        (dict(mu=lambda s: 1.0), ValueError, "mu\\(s\\) must return an array matching"),
+    ],
+    ids=["n_max-odd", "n_max-zero", "t-equals-T", "t-after-T", "grid-one", "unknown-spec",
+         "mu-wrong-length", "mu-scalar"],
+)
+def test_gamma_refuses_inputs_outside_its_domain(args, error, message):
+    full = dict(n_max=4, mu=lambda s: np.ones_like(s), t=0.0, T=1.0, grid=16)
+    full.update(args)
+    with pytest.raises(error, match=message):
+        bessel_gamma(**full)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_gamma_refuses_non_finite_weight(bad):
     with pytest.raises(ValueError, match="mu must be finite"):

@@ -72,6 +72,26 @@ def test_tiny_entry_on_or_below_the_diagonal_is_refused_by_state_and_sampler(ent
         simulate(SimConfig("Chaos2", {"kernel": k}, 1000, 4, 1.0, seed=0))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_kernel_is_refused(value):
+    # unchecked, a NaN kernel gives chaos2_cumulants [0.0, nan, nan]
+    with pytest.raises(DomainError, match="kernel must be finite"):
+        constant_kernel(1.0, 4, value)
+    k = constant_kernel(1.0, 4).kernel.copy()
+    k[1, 3] = value
+    with pytest.raises(DomainError, match="kernel must be finite"):
+        Chaos2State(kernel=k, scalar=0.0, T=1.0)
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+def test_horizon_not_finite_and_positive_is_refused(T):
+    # unchecked, T = -1 makes the step h negative and flips the sign of kappa_3
+    with pytest.raises(DomainError, match="T must be finite and positive"):
+        constant_kernel(T, 4)
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="T must be finite"):
+        kernel_from_function(lambda w, v: np.ones_like(w), T, 4)
+
+
 @pytest.mark.parametrize("M", [0, -3])
 def test_grid_below_one_point_is_refused(M):
     with pytest.raises(ValueError, match="M"):

@@ -9,6 +9,8 @@ import importlib.resources
 import inspect
 import json
 import math
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -422,13 +424,31 @@ def test_non_finite_riccati_inputs_are_refused(flag, value, name, capsys):
         (["signature", "--left", "1", "--right", "2", "--T", "nan"], "dt"),
         (["mc", "--model", "BMdrift", "--paths", "100", "--param", "mu=nan"], "mu"),
         (["mc", "--model", "BMdrift", "--paths", "100", "--T", "inf"], "horizon"),
+        (["chaos2", "--flat", "1", "--grid", "4", "--T", "nan"], "--T"),
+        (["chaos2", "--flat", "1", "--grid", "4", "--T", "inf"], "--T"),
+        (["chaos2", "--flat", "inf", "--grid", "4"], "--flat"),
+        (["chaos2", "--flat", "nan", "--grid", "4"], "--flat"),
     ],
     ids=["levy-T", "cameron-martin-lam", "bessel-x", "bessel-delta", "bessel-lambda",
-         "bessel-T", "signature-T", "mc-param", "mc-T"],
+         "bessel-T", "signature-T", "mc-param", "mc-T", "chaos2-T-nan", "chaos2-T-inf",
+         "chaos2-flat-inf", "chaos2-flat-nan"],
 )
 def test_non_finite_inputs_are_refused(argv, name, capsys):
     assert cli.main(argv) == 2
     assert f"{name} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("T", ["0", "-1"])
+def test_kernel_grid_horizon_not_positive_names_the_flag(T, tmp_path, capsys):
+    # reading a kernel file divides by the step T / M, and a negative step
+    # flips the sign of kappa_3
+    path = tmp_path / "k.csv"
+    path.write_text("0.0,0.5,1.0\n")
+    for argv in (["chaos2", "--flat", "1", "--grid", "4"],
+                 ["chaos2", "--kernel", str(path)],
+                 ["mc", "--model", "Chaos2", "--kernel", str(path), "--paths", "100"]):
+        assert cli.main([*argv, "--T", T]) == 2
+        assert "--T must be finite and positive" in capsys.readouterr().err
 
 
 def test_chaos2_simulation_without_a_kernel_names_the_flag(capsys):
@@ -586,6 +606,17 @@ def test_explicit_flag_overrides_config_file(tmp_path):
     doc = run_json(["levy", "--config", str(cfg), "--T", "0.5"])
     assert doc["config"]["T"] == 0.5
     assert doc["config"]["order"] == 12
+
+
+@pytest.mark.parametrize("value", ["false", "true"])
+def test_config_file_passes_boolean_words_through(value, tmp_path, capsys):
+    # no flag is a switch, so "T = false" is a value --T refuses, not a dropped line
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"T = {value}\n")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["levy", "--config", str(cfg)])
+    assert exit_info.value.code == 2
+    assert f"argument --T: invalid float value: '{value}'" in capsys.readouterr().err
 
 
 def test_config_file_malformed_line(tmp_path):
@@ -747,3 +778,32 @@ def test_module_entry_point_subprocess():
     doc = json.loads(proc.stdout)
     assert doc["schema"] == "diamond-forests/1"
     assert doc["result"]["all_zero"] is False
+
+
+# ---------------------------------------------------------------------------
+# the README's commands
+
+
+def readme_commands():
+    """Each ``diamond-forests ...`` line of the command block in README.md, its
+    continuation lines joined and the program name dropped."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(ln, comments=True)[1:] for ln in lines if ln.startswith("diamond-forests ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(),
+                         ids=lambda argv: " ".join(argv[:2]).replace("--", ""))
+def test_readme_command_exits_zero(argv, tmp_path, monkeypatch, capsys):
+    # the kernel.csv that `chaos2 --kernel` reads: a flat kernel on 8 grid points
+    M = 8
+    rows = [f"{i / M},{j / M},1.0" for i in range(M) for j in range(i + 1, M)]
+    (tmp_path / "kernel.csv").write_text("w,v,f\n" + "\n".join(rows) + "\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0, capsys.readouterr().err
+
+
+def test_readme_command_block_is_found():
+    # an empty parse would leave the test above with no cases, silently
+    assert len(readme_commands()) >= 13

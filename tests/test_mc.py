@@ -52,8 +52,13 @@ def test_config_validation():
         SimConfig("BMdrift", {}, 1000, 1, -1.0, 0)
     with pytest.raises(ValueError):
         SimConfig("BMdrift", {}, 1000, 1, 1.0, -3)
-    with pytest.raises(ValueError):
-        simulate(SimConfig("BESQ", {"x": 1.0}, 1000, 1, 1.0, 0))  # missing delta
+    # a missing required parameter is refused by name when the config is built
+    with pytest.raises(ValueError, match="needs parameter 'delta'"):
+        SimConfig("BESQ", {"x": 1.0}, 1000, 1, 1.0, 0)
+    with pytest.raises(ValueError, match="needs parameter 'nu'"):
+        SimConfig("Heston", {"xi0": 0.04}, 1000, 1, 1.0, 0)
+    with pytest.raises(ValueError, match="needs a kernel"):
+        SimConfig("Chaos2", {}, 1000, 1, 1.0, 0)
     for model, params in (("BMdrift", {"muu": 5.0}), ("LevyArea", {"mu": 1.0})):
         with pytest.raises(ValueError, match="takes no parameter"):
             SimConfig(model, params, 1000, 1, 1.0, 0)
@@ -90,7 +95,8 @@ def test_exact_chaos2_cumulants_are_the_eigenvalue_cumulants():
 
 @pytest.mark.parametrize("model", ["BESQ", "Heston", "StoppedBM"])
 def test_exact_cumulants_refuse_a_model_without_a_cumulant_law(model):
-    cfg = SimConfig(model, {}, 1000, 8, 1.0, seed=0)
+    params = {"BESQ": {"x": 0.7, "delta": 2.0}, "Heston": HESTON, "StoppedBM": {}}[model]
+    cfg = SimConfig(model, params, 1000, 8, 1.0, seed=0)
     with pytest.raises(ValueError, match=f"model {model} has no exact cumulant law"):
         exact_cumulants(cfg, 2)
 
@@ -288,7 +294,7 @@ def _euler_heston(cfg, rng, m):
     """The two-normal Euler loop, db = rho dw + rho_perp sqrt(dt) z drawn at
     every step: the cross-check for the sampler's conditional draw of X."""
     xi0, nu, lam, rho = (cfg.param(k) for k in ("xi0", "nu", "lam", "rho"))
-    window = cfg.param("window", 0.1)
+    window = cfg.param("window")
     dt = cfg.horizon / cfg.n_steps
     sdt = math.sqrt(dt)
     rho_perp = math.sqrt(max(0.0, 1.0 - rho * rho))
@@ -409,15 +415,18 @@ def test_samples_do_not_depend_on_the_chunk_size(monkeypatch):
 
 
 def test_chaos2_kernel_validation():
-    cfg = SimConfig("Chaos2", {"kernel": np.eye(4)}, 1000, 4, 1.0, seed=0)
-    with pytest.raises(DomainError):
-        simulate(cfg)
-    cfg = SimConfig("Chaos2", {"kernel": np.ones((2, 3))}, 1000, 2, 1.0, seed=0)
-    with pytest.raises(DomainError):
-        simulate(cfg)
-    cfg = SimConfig("Chaos2", {"kernel": np.zeros((0, 0))}, 1000, 2, 1.0, seed=0)
-    with pytest.raises(DomainError, match="M >= 1"):
-        simulate(cfg)
+    # the kernel is checked once, by Chaos2State, when the config is built
+    nan = np.triu(np.ones((4, 4)), 1)
+    nan[0, 3] = math.nan
+    for kernel, message in (
+        (np.eye(4), "strictly upper triangular"),
+        (np.ones((2, 3)), "square matrix"),
+        (np.zeros((0, 0)), "M >= 1"),
+        (nan, "kernel must be finite"),
+        (np.where(np.isnan(nan), math.inf, nan), "kernel must be finite"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            SimConfig("Chaos2", {"kernel": kernel}, 1000, 4, 1.0, seed=0)
 
 
 def test_cumulant_estimator_coverage_on_normals():
