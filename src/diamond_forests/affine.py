@@ -31,10 +31,14 @@ tau-grid and the kernel moments over each subinterval are integrated in
 closed form, which keeps first-order accuracy through the power-law
 singularity at tau = 0.  The resulting weights W form one Toeplitz
 convolution per (kernel, grid): a whole known vector is convolved by FFT
-against the spectrum of W.  The Riccati march, whose next value depends on
-the last, builds the same sums block by block (Hairer-Lubich-Schlichte
-1985): once the left half of a block is solved, one convolution adds its
-share of the history to the right half, so n steps cost O(n log^2 n).
+against the spectrum of W.  The Riccati equation is solved by Picard sweeps
+over the whole grid, g <- C + (q + kappa * g)^2 / 2, one such convolution
+each; the system is lower triangular, so the sweeps settle within a few
+(about 8 on moderate weights).  Where they cannot certify their answer, near
+blow-up, the march takes over: its next value depends on the last, and it
+builds the same sums block by block (Hairer-Lubich-Schlichte 1985): once the
+left half of a block is solved, one convolution adds its share of the
+history to the right half, so n steps cost O(n log^2 n).
 
 ``riccati_residual`` re-checks a solution with the same product integration
 on a grid ``refine`` times finer, against a PCHIP interpolant of g, so it
@@ -80,6 +84,14 @@ __all__ = [
 ]
 
 GROWTH_BOUND = 1.0e3
+# A march costs as much as 17 (512 or 65536 steps) to 32 (4096 steps) whole-grid
+# sweeps on a 2-core VM; sweeps that have not certified by this many give way
+# to the march.
+_SWEEP_CAP = 24
+# A sweep certifies once its update is within this multiple of |C| + max u^2/2,
+# the size of the terms of g = C + u^2/2: FFT rounding leaves the update at up
+# to 3 eps of it, where g itself can be far smaller than its terms.
+_ROUNDING_FLOOR = 8.0 * np.finfo(float).eps
 _LEAF_STEPS = 16  # march blocks this short are solved by a scalar loop
 _FFT_STEPS = 128  # finished halves this long reach the next half by FFT
 
@@ -574,6 +586,60 @@ def _riccati_march(
     return march.g
 
 
+def _riccati_sweep(
+    kernel: KernelSpec,
+    rho: float,
+    a: float,
+    b: float,
+    c: float,
+    delta: float,
+    grid: np.ndarray,
+    start: Optional[np.ndarray] = None,
+) -> Optional[np.ndarray]:
+    """The march's g by whole-grid Picard sweeps g <- C + (q + kappa * g)^2 / 2,
+    each one ``_Convolution`` of the last iterate, or None where the sweeps
+    do not certify it.
+
+    The equation is lower triangular, so the sweeps settle node by node.  They
+    certify when, within ``_SWEEP_CAP`` sweeps, every iterate stays finite and
+    within ``GROWTH_BOUND`` and the update falls to ``_ROUNDING_FLOOR`` of the
+    terms of g = C + u^2/2, u = q + kappa * g, and then W0 u < 1 at every node:
+    with u a root of the step quadratic (W0/2) u^2 - u + k = 0, that is the
+    root the march takes (the other root repels the sweeps).  ``start`` is
+    the first iterate, by default the sweep from g = 0.
+    """
+    C, q = _riccati_terms(rho, a, b, c, kappa_bar(kernel, grid, delta))
+    convolve = _Convolution(kernel, grid)
+    g = C + 0.5 * q * q if start is None else start
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_SWEEP_CAP):
+            u = q + convolve(g)
+            half_square = 0.5 * u * u
+            swept = C + half_square
+            if not np.max(np.abs(swept)) <= GROWTH_BOUND:  # also refuses nan
+                return None
+            step = np.max(np.abs(swept - g))
+            g = swept
+            if step <= _ROUNDING_FLOOR * (abs(C) + np.max(half_square)):
+                return g if np.all(convolve.W[0] * u < 1.0) else None
+    return None
+
+
+def _riccati_g(
+    kernel: KernelSpec,
+    rho: float,
+    a: float,
+    b: float,
+    c: float,
+    delta: float,
+    grid: np.ndarray,
+    start: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """g on ``grid``: the sweeps' where they certify it, else the march's."""
+    g = _riccati_sweep(kernel, rho, a, b, c, delta, grid, start)
+    return _riccati_march(kernel, rho, a, b, c, delta, grid) if g is None else g
+
+
 def _check_inputs(rho: float, n_steps: int, values: Dict[str, float], window: float,
                   empty: str) -> None:
     """Refusals that ``solve_riccati``, ``tree_value`` and ``spx_exponent``
@@ -597,21 +663,26 @@ def solve_riccati(
     horizon: float,
     n_steps: int,
 ) -> RiccatiSolution:
-    """March the convolution Riccati equation on a uniform tau-grid.
+    """Solve the convolution Riccati equation on a uniform tau-grid.
 
-    Per step, g(tau_j) solves a scalar quadratic (its own convolution weight
-    appears inside the square), taken in closed form on the root that stays
-    continuous as that weight goes to 0.  A quadratic without a real root
-    means the solution has blown up, and like growth beyond ``GROWTH_BOUND``
-    it raises ``DomainError``.  ``solver_tolerance`` records the sup-gap
-    against a half-resolution solve, a practical error estimate at first
-    order.
+    At each node g(tau_j) solves a scalar quadratic (its own convolution
+    weight W0 appears inside the square), on the root that stays continuous
+    as that weight goes to 0.  Whole-grid sweeps g <- C + (q + kappa * g)^2/2
+    find that solution where they certify it: finite, within
+    ``GROWTH_BOUND``, settled to rounding within ``_SWEEP_CAP`` sweeps, and
+    W0 u < 1 at every node, which marks the continuous root.  Otherwise the
+    march solves node by node in closed form: a quadratic without a real
+    root means the solution has blown up, and like growth beyond
+    ``GROWTH_BOUND`` it raises ``DomainError`` naming the first failing tau.
+    ``solver_tolerance`` records the sup-gap against a half-resolution solve
+    (swept from the full solve's even nodes), a practical error estimate at
+    first order.
     """
     values = {"a": a, "b": b, "c": c, "delta": delta, "horizon T": horizon}
     _check_inputs(rho, n_steps, values, horizon, "horizon must be positive")
     grid = np.linspace(0.0, horizon, n_steps + 1)
-    g = _riccati_march(kernel, rho, a, b, c, delta, grid)
-    half = _riccati_march(kernel, rho, a, b, c, delta, grid[::2])
+    g = _riccati_g(kernel, rho, a, b, c, delta, grid)
+    half = _riccati_g(kernel, rho, a, b, c, delta, grid[::2], g[::2])
     tolerance = float(np.max(np.abs(g[::2] - half)))
     return RiccatiSolution(
         grid=grid,

@@ -144,16 +144,21 @@ def euler_average(partial_sums: Sequence[float]) -> float:
     return s[0]
 
 
-def bessel_laplace(x: float, delta: float, lam: float, T: float) -> float:
-    """Closed form E exp(-lambda X_T) for constant dimension delta, X_t = x.
-
-    Equals (1 + 2 lambda T)^{-delta/2} * exp(-lambda x / (1 + 2 lambda T)).
-    """
+def _check_laplace_inputs(x: float, delta: float, lam: float, T: float) -> None:
+    """The refusals that ``bessel_laplace`` and ``bessel_laplace_series`` share."""
     require_finite(x=x, delta=delta, lam=lam, T=T)
     if lam < 0:
         raise DomainError("lambda must be >= 0 (Laplace side only)")
     if x < 0 or delta < 0 or T <= 0:
         raise DomainError("need x >= 0, delta >= 0, T > 0")
+
+
+def bessel_laplace(x: float, delta: float, lam: float, T: float) -> float:
+    """Closed form E exp(-lambda X_T) for constant dimension delta, X_t = x.
+
+    Equals (1 + 2 lambda T)^{-delta/2} * exp(-lambda x / (1 + 2 lambda T)).
+    """
+    _check_laplace_inputs(x, delta, lam, T)
     z = 1.0 + 2.0 * lam * T
     return z ** (-delta / 2.0) * math.exp(-lam * x / z)
 
@@ -169,13 +174,9 @@ def bessel_laplace_series(
     2 lambda T <= 1 (boundary included); beyond that the underlying series
     diverges and a DomainError is raised.
     """
-    require_finite(x=x, delta=delta, lam=lam, T=T)
+    _check_laplace_inputs(x, delta, lam, T)
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    if lam < 0:
-        raise DomainError("lambda must be >= 0 (Laplace side only)")
-    if x < 0 or delta < 0 or T <= 0:
-        raise DomainError("need x >= 0, delta >= 0, T > 0")
     if lam == 0:
         return 1.0
     if 2.0 * lam * T > 1.0 + 1e-12:

@@ -394,11 +394,50 @@ def direct_march(kern, rho, a, b, c, delta, grid):
 @pytest.mark.parametrize("n", [8, 9, 17, 1000, 4096])
 def test_blocked_march_matches_the_direct_march(kern, n):
     # odd step counts split into unequal halves at every level; 4096 steps
-    # take the FFT branch of the history sums
+    # take the FFT branch of the history sums.  The solve sweeps here, so the
+    # march is run on its own as well
     a, b, c, rho, delta = 0.25, 0.1, 0.1, -0.7, 0.1
     sol = solve_riccati(kern, rho, a, b, c, delta, horizon=1.0, n_steps=n)
     want = direct_march(kern, rho, a, b, c, delta, sol.grid)
     assert np.max(np.abs(sol.g - want)) <= 1e-15
+    march = affine._riccati_march(kern, rho, a, b, c, delta, sol.grid)
+    assert np.max(np.abs(march - want)) <= 1e-15
+
+
+# exp nu = lam = 1, rho = 1, (a, b) = (3, -1.5): g grows towards the Heston
+# pole at tau = log 3, and by tau = 1.05 the sweeps need about 40 to settle
+SLOW_SWEEPS = (KernelSpec.exponential(1.0, 1.0), 1.0, 3.0, -1.5, 0.0, 0.1)
+
+
+def test_solve_falls_back_to_the_march_where_sweeps_do_not_certify():
+    grid = np.linspace(0.0, 1.05, 1025)
+    assert affine._riccati_sweep(*SLOW_SWEEPS, grid) is None
+    sol = solve_riccati(*SLOW_SWEEPS, horizon=1.05, n_steps=1024)
+    assert sol.g.tobytes() == affine._riccati_march(*SLOW_SWEEPS, grid).tobytes()
+
+
+def test_solve_sweeps_without_the_march(monkeypatch):
+    # the bench's parameter ranges, the step cap and the squared Bessel kernel
+    # are all solved by certified sweeps, so none of them needs the march
+    def no_march(*args):
+        raise AssertionError("the solve fell back to the march")
+
+    monkeypatch.setattr(affine, "_RiccatiMarch", no_march)
+    rng = np.random.default_rng(34)
+    for kind in ("exp", "power"):
+        for c_zero in (True, False):
+            for n in (1024, 2048, 4096):
+                nu, rho = rng.uniform(0.2, 0.4), rng.uniform(-0.9, -0.3)
+                a, b = rng.uniform(0.1, 0.3), rng.uniform(0.0, 0.2)
+                c = 0.0 if c_zero else rng.uniform(0.05, 0.15)
+                kern = (KernelSpec.exponential(nu, rng.uniform(0.5, 1.5)) if kind == "exp"
+                        else KernelSpec.power_law(nu, rng.uniform(0.6, 0.8)))
+                solve_riccati(kern, rho, a, b, c, 0.1, horizon=1.0, n_steps=n)
+    for kern in (EXP, POW):
+        solve_riccati(kern, -0.7, 0.25, 0.1, 0.1, 0.1, horizon=1.0, n_steps=MAX_STEPS)
+    for lam, T in ((0.5, 1.0), (0.3, 1.5), (1.2, 0.8)):  # the BESQ Laplace test's
+        for n in (1024, 4096):
+            solve_riccati(FLAT, 0.0, 0.0, -lam, 0.0, 1.0, horizon=T, n_steps=n)
 
 
 @pytest.mark.parametrize(
@@ -434,19 +473,19 @@ def test_riccati_march_solves_the_discrete_equation_at_the_step_cap(kern):
 # Riccati solver
 
 
-# sha256 of g's bytes and the hex of solver_tolerance, fixed when the kernel
-# moments moved to one antiderivative evaluation per node: the solve (and with
-# it the Heston oracle of the Monte Carlo checks) must not move by a bit
+# sha256 of g's bytes and the hex of solver_tolerance, fixed when the solve
+# moved to whole-grid sweeps: the solve (and with it the Heston oracle of the
+# Monte Carlo checks) must not move by a bit
 SOLVE_PINS = {
     "exp": (
         (EXP, -0.7, 0.25, 0.1, 0.0, 0.1),
-        "4ab7bf7ab6d07a3e7ad0e16f1666a0702b2e51ac3225c67c69901dcd0cf035fd",
-        "0x1.a7b8000000000p-42",
+        "dd4bc5c818cb94d61a8b3eba80230ffbbb2fa9cdfeb3bf342c9c51b48c7106e6",
+        "0x1.a7b5800000000p-42",
     ),
     "power": (
         (POW, -0.7, 0.25, 0.1, 0.1, 0.1),
-        "16a0dc5050a8ccda32ee970cf794acd19ff736f2ae9dccd044908d5e30e49db7",
-        "0x1.25c7f5f200000p-27",
+        "0893f65d8dd10324a30132befb74101400ed66c74b984754d86cdd0f2830949c",
+        "0x1.25c7f5f600000p-27",
     ),
 }
 

@@ -181,6 +181,23 @@ def test_closed_form_rejects_bad_arguments():
 
 
 @pytest.mark.parametrize("fn", [bessel_laplace, bessel_laplace_series])
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("lam", -0.1, r"lambda must be >= 0 \(Laplace side only\)"),
+        ("x", -1.0, r"need x >= 0, delta >= 0, T > 0"),
+        ("delta", -2.0, r"need x >= 0, delta >= 0, T > 0"),
+        ("T", 0.0, r"need x >= 0, delta >= 0, T > 0"),
+        ("T", -1.0, r"need x >= 0, delta >= 0, T > 0"),
+    ],
+)
+def test_out_of_domain_arguments_are_refused_alike(fn, name, value, message):
+    args = {"x": 1.0, "delta": 2.0, "lam": 0.25, "T": 1.0, name: value}
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        fn(**args)
+
+
+@pytest.mark.parametrize("fn", [bessel_laplace, bessel_laplace_series])
 @pytest.mark.parametrize("name", ["x", "delta", "lam", "T"])
 def test_non_finite_arguments_are_refused(fn, name):
     args = {"x": 1.0, "delta": 2.0, "lam": 0.25, "T": 1.0, name: math.nan}
