@@ -43,10 +43,15 @@ history to the right half, so n steps cost O(n log^2 n).
 ``riccati_residual`` re-checks a solution with the same product integration
 on a grid ``refine`` times finer, against a PCHIP interpolant of g, so it
 stays independent of the solver's quadrature.  It needs that fine-grid sum
-only at the solver's nodes, and evaluates it only there: the fine samples of
-one cubic piece are linear in its four coefficients, so the fine weights fold
-into four coarse weight vectors and the sum becomes five convolutions at the
-solver's length.
+only at the solver's nodes, and evaluates it only there: in Hermite form the
+fine samples of one cubic piece are linear in g and in the PCHIP slopes at its
+two ends, so the fine weights fold into one coarse weight vector on g and one
+on the slopes, and the sum becomes two convolutions at the solver's length.
+
+Everything of one uniform grid that does not depend on (rho, a, b, c) is held
+by a ``_TauGrid``, the grid's convolution and kappa_bar among them, read-only,
+and the last one is cached: the solve, its residual and the exponent of one
+request on the same (kernel, horizon, n_steps) build it once.
 """
 
 from __future__ import annotations
@@ -170,19 +175,37 @@ class KernelSpec:
         integration keep first order through the power-law singularity.  Each
         antiderivative is evaluated once per node and differenced.
         """
+        return self._differenced(*self._antiderivatives(grid))
+
+    def _antiderivatives(self, grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The node values (p0, p1) that ``_differenced`` turns into moments,
+        up to the constant factors it applies.  They are elementwise, so those
+        of ``grid[::2]`` are bit for bit every second value of ``grid``'s."""
         if self.kind == "exp":
             e = np.exp(-self.lam * grid)
-            m0 = (self.nu / self.lam) * (e[:-1] - e[1:])
-            p1 = (grid / self.lam + 1.0 / self.lam**2) * e
-            m1 = self.nu * (p1[:-1] - p1[1:])
-            return m0, m1
+            p1 = grid / self.lam
+            p1 += 1.0 / self.lam**2
+            p1 *= e
+            return e, p1
         if self.kind == "flat":
-            p1 = grid**2
-            return self.nu * (grid[1:] - grid[:-1]), self.nu * (p1[1:] - p1[:-1]) / 2.0
-        a = self.alpha
-        p0, p1 = grid**a, grid ** (a + 1)
-        m0 = self.nu * (p0[1:] - p0[:-1]) / math.gamma(a + 1.0)
-        m1 = self.nu * (p1[1:] - p1[:-1]) / (math.gamma(a) * (a + 1))
+            return grid, grid**2
+        return grid**self.alpha, grid ** (self.alpha + 1)
+
+    def _differenced(self, p0: np.ndarray, p1: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(m0, m1) from the node values of ``_antiderivatives``, scaled in place."""
+        if self.kind == "exp":
+            m0, m1 = p0[:-1] - p0[1:], p1[:-1] - p1[1:]
+            m0 *= self.nu / self.lam
+            m1 *= self.nu
+            return m0, m1
+        m0, m1 = p0[1:] - p0[:-1], p1[1:] - p1[:-1]
+        m0 *= self.nu
+        m1 *= self.nu
+        if self.kind == "flat":
+            m1 /= 2.0
+        else:
+            m0 /= math.gamma(self.alpha + 1.0)
+            m1 /= math.gamma(self.alpha) * (self.alpha + 1)
         return m0, m1
 
 
@@ -220,9 +243,14 @@ class ForwardVarianceCurve:
 
     @staticmethod
     def flat(xi0: float) -> "ForwardVarianceCurve":
+        """The constant curve xi0.  Its one check is here: the arrays it builds
+        need none of ``__post_init__``'s, so that does not run again."""
         if not (math.isfinite(xi0) and xi0 >= 0):
             raise ValueError(f"xi0 must be finite and nonnegative, got {xi0}")
-        return ForwardVarianceCurve(np.array([0.0]), np.array([float(xi0)]))
+        curve = object.__new__(ForwardVarianceCurve)
+        object.__setattr__(curve, "times", np.array([0.0]))
+        object.__setattr__(curve, "values", np.array([float(xi0)]))
+        return curve
 
     @staticmethod
     def sampled(times, values) -> "ForwardVarianceCurve":
@@ -240,6 +268,7 @@ class ForwardVarianceCurve:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache
 def _fft_length(m: int) -> int:
     """Smallest 5-smooth number 2^i 3^j 5^k that is at least m."""
     best = 1 << max(m - 1, 0).bit_length()
@@ -256,15 +285,23 @@ def _fft_length(m: int) -> int:
     return best
 
 
-def _conv_weights(kernel: KernelSpec, grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _conv_weights(
+    kernel: KernelSpec, grid: np.ndarray, antiderivatives: Optional[Tuple[np.ndarray, ...]] = None
+) -> Tuple[np.ndarray, np.ndarray]:
     """Toeplitz weights W and endpoint correction E of the product integration:
     (kappa * v)(grid[j]) = sum_{m<=j} W[m] v[j-m] - E[j] v[0] for piecewise-linear
     v on the uniform grid.  Subinterval i weights its left node by
     B[i] = integral kappa(s) (tau_{i+1} - s) ds / dtau and its right node by
     A[i] = m0[i] - B[i], so W[m] = A[m-1] + B[m] and W[0] = B[0] weights v[j];
-    E = (B, 0) takes off the B[j] that W[j] puts on v[0] past the sum's end."""
+    E = (B, 0) takes off the B[j] that W[j] puts on v[0] past the sum's end.
+    ``antiderivatives`` are the kernel's node values on ``grid``, if known."""
     dtau = grid[1] - grid[0]
-    m0, m1 = kernel.moments(grid)
+    m0, m1 = kernel._differenced(*(antiderivatives or kernel._antiderivatives(grid)))
     B = (grid[1:] * m0 - m1) / dtau
     E = np.append(B, 0.0)
     W = E + np.append(0.0, m0 - B)
@@ -274,12 +311,14 @@ def _conv_weights(kernel: KernelSpec, grid: np.ndarray) -> Tuple[np.ndarray, np.
 class _Convolution:
     """The ``_conv_weights`` sum applied to a whole vector on one grid: one FFT
     product against ``spectrum`` = rfft(W) at a 5-smooth length of at least
-    2n - 1, so no wrap-around reaches the first n entries."""
+    2n - 1, so no wrap-around reaches the first n entries.  Its arrays are
+    read-only, since a ``_TauGrid`` shares them."""
 
-    def __init__(self, kernel: KernelSpec, grid: np.ndarray):
-        self.W, self.E = _conv_weights(kernel, grid)
+    def __init__(self, kernel: KernelSpec, grid: np.ndarray,
+                 antiderivatives: Optional[Tuple[np.ndarray, ...]] = None):
+        self.W, self.E = map(_read_only, _conv_weights(kernel, grid, antiderivatives))
         self.length = _fft_length(2 * grid.size - 1)
-        self.spectrum = np.fft.rfft(self.W, self.length)
+        self.spectrum = _read_only(np.fft.rfft(self.W, self.length))
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         n = self.W.size
@@ -295,18 +334,49 @@ def kernel_convolve(kernel: KernelSpec, values: np.ndarray, grid: np.ndarray) ->
     return _Convolution(kernel, grid)(np.asarray(values, dtype=float))
 
 
+class _TauGrid:
+    """What every solve, residual and exponent on one uniform tau-grid shares,
+    each part built once: the grid, its ``_Convolution``, the half grid's
+    (``half``, for the solver's error estimate) and the zeta loading
+    ``kbar(delta)``.  Every array is read-only.
+
+    The half grid is ``grid[::2]``; its weights come from the even nodes'
+    antiderivatives and its kappa_bar is ``kbar(delta)[::2]``, both bit for
+    bit what that grid computes on its own (the node values are elementwise).
+    """
+
+    def __init__(self, kernel: KernelSpec, horizon: float, n_steps: int):
+        self.kernel = kernel
+        self.grid = _read_only(np.linspace(0.0, horizon, n_steps + 1))
+        self._antiderivatives = tuple(map(_read_only, kernel._antiderivatives(self.grid)))
+        self.convolve = _Convolution(kernel, self.grid, self._antiderivatives)
+        self._half: Optional[_Convolution] = None
+        self._kbar: Tuple[float, Optional[np.ndarray]] = (math.nan, None)
+
+    @property
+    def half(self) -> _Convolution:
+        if self._half is None:
+            even = tuple(p[::2] for p in self._antiderivatives)
+            self._half = _Convolution(self.kernel, self.grid[::2], even)
+        return self._half
+
+    def kbar(self, delta: float) -> np.ndarray:
+        """kappa_bar on the grid for window ``delta``; the last one is kept."""
+        if self._kbar[0] != delta:
+            self._kbar = delta, _read_only(kappa_bar(self.kernel, self.grid, delta))
+        return self._kbar[1]
+
+
+@lru_cache(maxsize=1)
+def _tau_grid(kernel: KernelSpec, horizon: float, n_steps: int) -> _TauGrid:
+    """The ``_TauGrid`` of (kernel, horizon, n_steps); the last one is kept, so
+    the solve, residual and exponent of one request build it once."""
+    return _TauGrid(kernel, horizon, n_steps)
+
+
 # ---------------------------------------------------------------------------
 # Tree loadings and the per-order affine state
 # ---------------------------------------------------------------------------
-
-
-def _tree_grid(
-    kernel: KernelSpec, delta: float, horizon: float, n_steps: int
-) -> Tuple[np.ndarray, _Convolution, np.ndarray]:
-    """What every tree on one tau-grid shares: the grid, its convolution and the
-    zeta-leaf loading kappa_bar."""
-    grid = np.linspace(0.0, horizon, n_steps + 1)
-    return grid, _Convolution(kernel, grid), kappa_bar(kernel, grid, delta)
 
 
 def _plus(u: Optional[np.ndarray], v: Optional[np.ndarray]) -> Optional[np.ndarray]:
@@ -404,13 +474,13 @@ def tree_value(
     and a single leaf; an h that is not finite on the grid raises ``DomainError``.
     """
     _check_inputs(rho, n_steps, {"delta": delta, "t": t, "T": T}, T - t, "need t < T")
-    grid, convolve, kbar = _tree_grid(kernel, delta, T - t, n_steps)
     if tree.label is not None:
         raise ValueError("a single leaf is not a diamond tree (needs >= 2 leaves)")
-    h = _tree_state(tree, _leaf_states(convolve, rho, kbar)).h
+    tau_grid = _tau_grid(kernel, T - t, n_steps)
+    h = _tree_state(tree, _leaf_states(tau_grid.convolve, rho, tau_grid.kbar(delta))).h
     if not np.all(np.isfinite(h)):
         raise DomainError("h must be finite on the grid")
-    return float(np.trapezoid(curve(T - grid) * h, grid))
+    return float(np.trapezoid(curve(T - tau_grid.grid) * h, tau_grid.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +522,13 @@ def _pchip_edge(h0: float, h1: float, m0: float, m1: float) -> float:
     return d
 
 
-def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """PCHIP through (x, y), x strictly increasing with at least 3 points, as
-    the (4, n) coefficients c of its n cubics: interval i holds
-    c[0, i] s^3 + c[1, i] s^2 + c[2, i] s + c[3, i] in s = x - x[i].
+def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The node slopes d of the PCHIP through (x, y), x strictly increasing
+    with at least 3 points, with the steps h and secants m they came from.
 
     Interior slopes are the weighted harmonic mean of the neighbouring secants
-    (0 where they differ in sign or one vanishes); the coefficients are those
-    of scipy's ``CubicHermiteSpline``.
+    (0 where they differ in sign or one vanishes), as scipy's
+    ``PchipInterpolator`` takes them.
     """
     h = np.diff(x)
     m = np.diff(y) / h
@@ -471,6 +540,14 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
     d[0] = _pchip_edge(h[0], h[1], m[0], m[1])
     d[-1] = _pchip_edge(h[-1], h[-2], m[-1], m[-2])
+    return d, h, m
+
+
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The PCHIP of ``_pchip_slopes`` as the (4, n) coefficients c of its n
+    cubics: interval i holds c[0, i] s^3 + c[1, i] s^2 + c[2, i] s + c[3, i]
+    in s = x - x[i], those of scipy's ``CubicHermiteSpline``."""
+    d, h, m = _pchip_slopes(x, y)
     t = (d[:-1] + d[1:] - 2 * m) / h
     return np.array((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
 
@@ -510,10 +587,9 @@ class _RiccatiMarch:
     the first failing tau.
     """
 
-    def __init__(self, kernel, rho, a, b, c, delta, grid):
-        C, q = _riccati_terms(rho, a, b, c, kappa_bar(kernel, grid, delta))
+    def __init__(self, convolve: _Convolution, C: float, q: np.ndarray, grid: np.ndarray):
         self.C = C
-        self.W, E = _conv_weights(kernel, grid)
+        self.W, E = convolve.W, convolve.E
         self.w0 = float(self.W[0])
         self.w1 = self.W[1:_LEAF_STEPS].tolist()
         self.grid = grid
@@ -573,32 +649,19 @@ class _RiccatiMarch:
 
 
 def _riccati_march(
-    kernel: KernelSpec,
-    rho: float,
-    a: float,
-    b: float,
-    c: float,
-    delta: float,
-    grid: np.ndarray,
+    convolve: _Convolution, C: float, q: np.ndarray, grid: np.ndarray
 ) -> np.ndarray:
-    march = _RiccatiMarch(kernel, rho, a, b, c, delta, grid)
+    march = _RiccatiMarch(convolve, C, q, grid)
     march.solve(1, grid.size)
     return march.g
 
 
 def _riccati_sweep(
-    kernel: KernelSpec,
-    rho: float,
-    a: float,
-    b: float,
-    c: float,
-    delta: float,
-    grid: np.ndarray,
-    start: Optional[np.ndarray] = None,
+    convolve: _Convolution, C: float, q: np.ndarray, start: Optional[np.ndarray] = None
 ) -> Optional[np.ndarray]:
     """The march's g by whole-grid Picard sweeps g <- C + (q + kappa * g)^2 / 2,
-    each one ``_Convolution`` of the last iterate, or None where the sweeps
-    do not certify it.
+    each one ``convolve`` of the last iterate, or None where the sweeps do not
+    certify it.
 
     The equation is lower triangular, so the sweeps settle node by node.  They
     certify when, within ``_SWEEP_CAP`` sweeps, every iterate stays finite and
@@ -608,8 +671,6 @@ def _riccati_sweep(
     root the march takes (the other root repels the sweeps).  ``start`` is
     the first iterate, by default the sweep from g = 0.
     """
-    C, q = _riccati_terms(rho, a, b, c, kappa_bar(kernel, grid, delta))
-    convolve = _Convolution(kernel, grid)
     g = C + 0.5 * q * q if start is None else start
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_SWEEP_CAP):
@@ -626,18 +687,16 @@ def _riccati_sweep(
 
 
 def _riccati_g(
-    kernel: KernelSpec,
-    rho: float,
-    a: float,
-    b: float,
-    c: float,
-    delta: float,
+    convolve: _Convolution,
+    C: float,
+    q: np.ndarray,
     grid: np.ndarray,
     start: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """g on ``grid``: the sweeps' where they certify it, else the march's."""
-    g = _riccati_sweep(kernel, rho, a, b, c, delta, grid, start)
-    return _riccati_march(kernel, rho, a, b, c, delta, grid) if g is None else g
+    """g on ``grid``, whose convolution is ``convolve``: the sweeps' where they
+    certify it, else the march's."""
+    g = _riccati_sweep(convolve, C, q, start)
+    return _riccati_march(convolve, C, q, grid) if g is None else g
 
 
 def _check_inputs(rho: float, n_steps: int, values: Dict[str, float], window: float,
@@ -680,12 +739,13 @@ def solve_riccati(
     """
     values = {"a": a, "b": b, "c": c, "delta": delta, "horizon T": horizon}
     _check_inputs(rho, n_steps, values, horizon, "horizon must be positive")
-    grid = np.linspace(0.0, horizon, n_steps + 1)
-    g = _riccati_g(kernel, rho, a, b, c, delta, grid)
-    half = _riccati_g(kernel, rho, a, b, c, delta, grid[::2], g[::2])
+    tau_grid = _tau_grid(kernel, horizon, n_steps)
+    C, q = _riccati_terms(rho, a, b, c, tau_grid.kbar(delta))
+    g = _riccati_g(tau_grid.convolve, C, q, tau_grid.grid)
+    half = _riccati_g(tau_grid.half, C, q[::2], tau_grid.grid[::2], g[::2])
     tolerance = float(np.max(np.abs(g[::2] - half)))
     return RiccatiSolution(
-        grid=grid,
+        grid=tau_grid.grid,
         g=g,
         kernel=kernel,
         rho=rho,
@@ -704,28 +764,46 @@ def _refined_convolution(
     finer uniform grid, v the PCHIP interpolant of g: the fine-grid sum,
     evaluated only at the nodes of ``grid``.
 
-    With R = refine and Wf, Ef the fine weights, the sum at node j splits over
-    m = R p + r.  Phase r = 0 pairs Wf[R p] with g[j - p].  A phase r >= 1
-    reads v at the fixed offset s_r = fine[R - r] into cubic piece j - p - 1,
-    linear in that piece's coefficients, so the phases fold into one coarse
-    weight vector V_k = sum_r s_r^k Wf[R p + r] per power k.  The sum is then
-    five convolutions of length n + 1, summed in frequency space, less
-    Ef[R j] g[0]; no fine sample of v is formed.
+    With R = refine and Wf, Ef the fine weights (``_conv_weights``), the sum
+    at node j splits over m = R p + r.  Phase r = 0 pairs Wf[R p] with
+    g[j - p].  A phase r >= 1 reads v at t_r = (R - r)/R of the way along
+    cubic piece i = j - p - 1, in Hermite form
+
+        v = g_i H00(t) + g_{i+1} H01(t) + dtau (d_i H10(t) + d_{i+1} H11(t)),
+
+    linear in g and in the PCHIP slopes d.  So the fine weights fold into one
+    coarse vector on g and one on d, and the sum is two convolutions of
+    length n + 1, summed in frequency space.  Node j - p takes phase 0 and
+    the right ends (H01, H11) of piece j - p - 1, its head, and the left
+    ends (H00, H10) of piece j - p.  At p = j the head's phases r >= 1 would
+    read piece -1 and its phase-0 part is what Ef[R j] g[0] takes off, so the
+    whole head comes off as an end term.  Wf and Ef are never formed.
     """
     n = grid.size - 1
+    dtau = grid[1] - grid[0]
     fine = np.linspace(0.0, grid[-1], refine * n + 1)
-    Wf, Ef = _conv_weights(kernel, fine)
-    offsets = fine[refine - 1 : 0 : -1, None]  # s_r for r = 1 .. R-1
-    weights = np.zeros((5, n + 1))
-    weights[0] = Wf[::refine]
-    weights[1:, :n] = (Wf[:-1].reshape(n, refine)[:, 1:] @ offsets ** np.arange(3, -1, -1)).T
-    values = np.zeros((5, n + 1))
-    values[0] = g
-    values[1:, 1:] = _pchip_coefficients(grid, g)  # piece j - p - 1: one node behind
-    size = _fft_length(2 * n + 1)
-    spectrum = (np.fft.rfft(weights, size) * np.fft.rfft(values, size)).sum(axis=0)
+    m0, m1 = kernel.moments(fine)
+    B = fine[1:] * m0  # left-node weights of the fine subintervals, as in _conv_weights
+    B -= m1
+    B /= fine[1] - fine[0]
+    A = m0
+    A -= B  # right-node weights: Wf[m] = A[m - 1] + B[m] and Ef[m] = B[m]
+    A, B = A.reshape(n, refine), B.reshape(n, refine)
+    t = np.arange(refine - 1, 0, -1) / refine  # t_r for r = 1 .. R-1
+    hermite = np.array(((1 + 2 * t) * (1 - t) ** 2, t * t * (3 - 2 * t),
+                        t * (1 - t) ** 2, t * t * (t - 1)))
+    folded = (B[:, 1:] + A[:, :-1]) @ hermite.T  # [p, k] = sum_{r>=1} Wf[R p + r] Hk(t_r)
+    head = np.zeros((2, n + 1))  # on g[j - p] and d[j - p]
+    head[0, :n] = B[:, 0] + folded[:, 1]
+    head[1, :n] = dtau * folded[:, 3]
+    weights = head.copy()
+    weights[0, 1:] += A[:, -1] + folded[:, 0]
+    weights[1, 1:] += dtau * folded[:, 2]
+    d = _pchip_slopes(grid, g)[0]
+    size = _fft_length(2 * n)  # entries 1 .. n take no wrap-around; entry 0 is set below
+    spectrum = (np.fft.rfft(weights, size) * np.fft.rfft((g, d), size)).sum(axis=0)
     out = np.fft.irfft(spectrum, size)[: n + 1]
-    out -= Ef[::refine] * g[0]
+    out -= head[0] * g[0] + head[1] * d[0]
     out[0] = 0.0  # the convolution vanishes at tau = 0
     return out
 
@@ -738,11 +816,12 @@ def riccati_residual(sol: RiccatiSolution, refine: int = 8) -> float:
     independent of the solver's own quadrature; that fine-grid sum is
     evaluated only at the solver's nodes, where the defect is read
     (``_refined_convolution``).  ``refine`` must be an integer >= 1.
+    kappa_bar comes from the ``_TauGrid`` of the solve.
     """
     if not isinstance(refine, numbers.Integral) or refine < 1:
         raise ValueError(f"refine must be an integer >= 1, got {refine!r}")
     conv = _refined_convolution(sol.kernel, sol.grid, sol.g, refine)
-    kbar = kappa_bar(sol.kernel, sol.grid, sol.delta)
+    kbar = _tau_grid(sol.kernel, sol.horizon, sol.grid.size - 1).kbar(sol.delta)
     C, q = _riccati_terms(sol.rho, sol.a, sol.b, sol.c, kbar)
     defect = C + 0.5 * (q + conv) ** 2 - sol.g
     return float(np.max(np.abs(defect)))
@@ -859,8 +938,9 @@ def spx_exponent(
         h_k = 1/2 sum_{j=2}^{k-2} w_j w_{k-j} + (a rho + c kappa_bar) w_{k-1},
         w_k = kappa * h_k .
 
-    One grid, spectrum and kappa_bar per call, order - 2 convolutions and
-    one trapezoid against xi.  The sum h is the expansion of the discrete
+    The grid, its spectrum and kappa_bar come from the grid's shared
+    ``_TauGrid``; the call takes order - 2 convolutions and one trapezoid
+    against xi.  The sum h is the expansion of the discrete
     equation that ``solve_riccati`` marches, so on the same grid the exponent
     tends to ``mgf_value`` as the order grows, where the series converges.
     """
@@ -868,10 +948,11 @@ def spx_exponent(
         raise ValueError("order must be >= 2")
     values = {"a": a, "b": b, "c": c, "delta": delta, "x": x, "zeta": zeta, "t": t, "T": T}
     _check_inputs(rho, n_steps, values, T - t, "need t < T")
-    grid, convolve, kbar = _tree_grid(kernel, delta, T - t, n_steps)
-    leaves = _leaf_states(convolve, rho, kbar)
+    tau_grid = _tau_grid(kernel, T - t, n_steps)
+    leaves = _leaf_states(tau_grid.convolve, rho, tau_grid.kbar(delta))
     states = cumulant_states(_spx_seeds(leaves["Y"], leaves["zeta"], a, b, c), order)
     h = sum(states[k].h for k in range(2, order + 1))
+    grid = tau_grid.grid
     value = a * x + c * zeta + float(np.trapezoid(curve(T - grid) * h, grid))
     if not math.isfinite(value):
         raise DomainError(f"the order-{order} exponent overflowed: weights (a, b, c) too large")

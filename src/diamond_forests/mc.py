@@ -30,12 +30,15 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import MAX_CUMULANT_ORDER, MAX_PATHS, MIN_PATHS, DomainError, require_finite
+
+if TYPE_CHECKING:
+    from .models.chaos2 import Chaos2State
 
 __all__ = [
     "BLOCK_PATHS",
@@ -81,7 +84,10 @@ MODELS = tuple(MODEL_PARAMS)
 
 @dataclass(frozen=True)
 class SimConfig:
-    """A fully deterministic simulation request (seed fixes the output)."""
+    """A fully deterministic simulation request (seed fixes the output).
+
+    ``chaos2`` is the checked ``Chaos2State`` of a Chaos2 kernel (else None),
+    built once here for ``exact_cumulants``."""
 
     model: str
     params: Mapping[str, object]
@@ -89,6 +95,7 @@ class SimConfig:
     n_steps: int
     horizon: float
     seed: int
+    chaos2: Optional[Chaos2State] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.model not in MODELS:
@@ -115,7 +122,8 @@ class SimConfig:
         if self.model == "Chaos2":
             from .models.chaos2 import Chaos2State
 
-            Chaos2State(self.params["kernel"], 0.0, self.horizon)
+            state = Chaos2State(self.params["kernel"], 0.0, self.horizon)
+            object.__setattr__(self, "chaos2", state)
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 
@@ -342,7 +350,7 @@ def exact_cumulants(cfg: SimConfig, max_order: int) -> List[float]:
     a standard Laplace is (Z_1^2 + Z_2^2 - Z_3^2 - Z_4^2) / 2, so the area has
     eigenvalues +-s_k / 2 (``_levy_weights``), each twice; Chaos2 has those of
     h (K + K^T) / 2."""
-    from .models.chaos2 import Chaos2State, eigenvalue_cumulants, spectral_cumulants
+    from .models.chaos2 import eigenvalue_cumulants, spectral_cumulants
 
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -353,7 +361,7 @@ def exact_cumulants(cfg: SimConfig, max_order: int) -> List[float]:
         s = 0.5 * _levy_weights(cfg.n_steps, cfg.horizon)
         return spectral_cumulants(np.concatenate([s, s, -s, -s]), max_order)
     if cfg.model == "Chaos2":
-        return eigenvalue_cumulants(Chaos2State(cfg.params["kernel"], 0.0, cfg.horizon), max_order)
+        return eigenvalue_cumulants(cfg.chaos2, max_order)
     raise ValueError(f"model {cfg.model} has no exact cumulant law here")
 
 

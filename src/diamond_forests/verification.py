@@ -316,7 +316,7 @@ def suite_heston_riccati(steps: int = 4096) -> SuiteReport:
         ForwardVarianceCurve,
         KernelSpec,
         _leaf_states,
-        _tree_grid,
+        _tau_grid,
         heston_ode_reference,
         riccati_residual,
         solve_riccati,
@@ -350,12 +350,12 @@ def suite_heston_riccati(steps: int = 4096) -> SuiteReport:
     values: Dict[int, List[float]] = {3: [], 4: []}
     for T in (0.05, 0.1, 0.2):
         # the trees Y<>(Y<>Y) and (Y<>Y)<>(Y<>Y) as diamonds of affine states
-        grid, convolve, kbar = _tree_grid(pk, 0.1, T, 2048)
-        y = _leaf_states(convolve, -0.7, kbar)["Y"]
+        tau_grid = _tau_grid(pk, T, 2048)
+        y = _leaf_states(tau_grid.convolve, -0.7, tau_grid.kbar(0.1))["Y"]
         cherry = y.diamond(y)
-        xi = crv(T - grid)
+        xi = crv(T - tau_grid.grid)
         for k, state in ((3, y.diamond(cherry)), (4, cherry.diamond(cherry))):
-            values[k].append(float(np.trapezoid(xi * state.h, grid)))
+            values[k].append(float(np.trapezoid(xi * state.h, tau_grid.grid)))
     worst = 0.0
     for k, vals in values.items():
         target = 1 + (k - 2) * alpha

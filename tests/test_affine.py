@@ -13,6 +13,7 @@ from diamond_forests import affine
 from diamond_forests.affine import (
     GROWTH_BOUND,
     MAX_STEPS,
+    MIN_STEPS,
     ForwardVarianceCurve,
     KernelSpec,
     RiccatiSolution,
@@ -193,6 +194,19 @@ def test_flat_curve_rejects_non_finite_level(value):
         ForwardVarianceCurve.flat(value)
 
 
+def test_flat_curve_is_checked_once(monkeypatch):
+    # flat checks xi0 itself and builds the arrays __post_init__ would
+    want = ForwardVarianceCurve(np.array([0.0]), np.array([2.0]))
+
+    def second_check(self):
+        raise AssertionError("ForwardVarianceCurve.flat checked its level twice")
+
+    monkeypatch.setattr(ForwardVarianceCurve, "__post_init__", second_check)
+    flat = ForwardVarianceCurve.flat(2)
+    for got, built in ((flat.times, want.times), (flat.values, want.values)):
+        assert got.dtype == built.dtype and np.array_equal(got, built)
+
+
 # ---------------------------------------------------------------------------
 # tree loadings
 
@@ -200,8 +214,9 @@ def test_flat_curve_rejects_non_finite_level(value):
 def tree_h(tree, kernel, rho, delta, horizon, n_steps=1024):
     """The tau-grid and the weight h of one tree, joined node by node: the
     single-tree loading that ``tree_value`` integrates."""
-    grid, convolve, kbar = affine._tree_grid(kernel, delta, horizon, n_steps)
-    return grid, affine._tree_state(tree, affine._leaf_states(convolve, rho, kbar)).h
+    tau_grid = affine._tau_grid(kernel, horizon, n_steps)
+    leaves = affine._leaf_states(tau_grid.convolve, rho, tau_grid.kbar(delta))
+    return tau_grid.grid, affine._tree_state(tree, leaves).h
 
 
 def test_tree_h_base_cases():
@@ -390,6 +405,12 @@ def direct_march(kern, rho, a, b, c, delta, grid):
     return g
 
 
+def march_inputs(kern, rho, a, b, c, delta, grid):
+    """The convolution and (C, q) that the sweeps and the march take on a grid."""
+    C, q = affine._riccati_terms(rho, a, b, c, kappa_bar(kern, grid, delta))
+    return affine._Convolution(kern, grid), C, q
+
+
 @pytest.mark.parametrize("kern", [EXP, POW], ids=["exp", "power"])
 @pytest.mark.parametrize("n", [8, 9, 17, 1000, 4096])
 def test_blocked_march_matches_the_direct_march(kern, n):
@@ -400,7 +421,7 @@ def test_blocked_march_matches_the_direct_march(kern, n):
     sol = solve_riccati(kern, rho, a, b, c, delta, horizon=1.0, n_steps=n)
     want = direct_march(kern, rho, a, b, c, delta, sol.grid)
     assert np.max(np.abs(sol.g - want)) <= 1e-15
-    march = affine._riccati_march(kern, rho, a, b, c, delta, sol.grid)
+    march = affine._riccati_march(*march_inputs(kern, rho, a, b, c, delta, sol.grid), sol.grid)
     assert np.max(np.abs(march - want)) <= 1e-15
 
 
@@ -411,9 +432,10 @@ SLOW_SWEEPS = (KernelSpec.exponential(1.0, 1.0), 1.0, 3.0, -1.5, 0.0, 0.1)
 
 def test_solve_falls_back_to_the_march_where_sweeps_do_not_certify():
     grid = np.linspace(0.0, 1.05, 1025)
-    assert affine._riccati_sweep(*SLOW_SWEEPS, grid) is None
+    inputs = march_inputs(*SLOW_SWEEPS, grid)
+    assert affine._riccati_sweep(*inputs) is None
     sol = solve_riccati(*SLOW_SWEEPS, horizon=1.05, n_steps=1024)
-    assert sol.g.tobytes() == affine._riccati_march(*SLOW_SWEEPS, grid).tobytes()
+    assert sol.g.tobytes() == affine._riccati_march(*inputs, grid).tobytes()
 
 
 def test_solve_sweeps_without_the_march(monkeypatch):
@@ -638,12 +660,13 @@ def fine_route_convolution(kern, grid, g, refine):
     return kernel_convolve(kern, sol.interpolator()(fine), fine)[::refine]
 
 
-@pytest.mark.parametrize("kern", [EXP, POW], ids=["exp", "power"])
-@pytest.mark.parametrize("n", [8, 9, 64, 1024, 4096])
+@pytest.mark.parametrize("kern", [EXP, POW, FLAT], ids=["exp", "power", "flat"])
+@pytest.mark.parametrize("n", [MIN_STEPS, 9, 64, 1024, 4096])
 def test_node_convolution_matches_the_fine_route(kern, n):
     # the fine-grid sum evaluated only at the nodes equals sampling the
     # interpolant on the whole fine grid, for curved, flat and solved g;
-    # the solved ones also pass the residual gate at every refinement
+    # the solved ones also pass the residual gate at every refinement.  The
+    # smallest grid puts the fold's end terms (j = 0, 1) in most of the sum
     grid = np.linspace(0.0, 1.0, n + 1)
     inputs = {
         "curve": 0.3 + np.sin(3.0 * grid) - 0.4 * grid**2,
@@ -948,6 +971,88 @@ def test_expansion_takes_order_minus_two_convolutions(kern, monkeypatch):
     for order in (6, 8):
         want = forest_sum(orders, order, kern, rho, a, b, c, delta, crv, 0.3, 0.2, 512)
         assert abs(got[order] - want) <= 1e-13 * abs(want)
+
+
+def bench_like_request(kern, c, n, orders, fresh=False):
+    """A request shaped like the benchmark's: a solve, its mgf, its residual
+    and the order-5 exponent on the same grid; ``fresh`` builds the grid anew
+    for each call, as if nothing were shared."""
+    crv = ForwardVarianceCurve.flat(0.04)
+    args = (kern, -0.6, 0.2, 0.1, c, 0.1)
+
+    def clear():
+        if fresh:
+            affine._tau_grid.cache_clear()
+
+    clear()
+    sol = solve_riccati(*args, horizon=1.0, n_steps=n)
+    mgf = mgf_value(sol, 0.0, crv, 0.0, 0.0, 1.0)
+    clear()
+    residual = riccati_residual(sol)
+    clear()
+    exponent = spx_expansion_value(5, orders, *args, crv, x=0.0, zeta=0.0, t=0.0, T=1.0,
+                                   n_steps=n)
+    return sol.g.tobytes(), sol.solver_tolerance, mgf, residual, exponent
+
+
+@pytest.mark.parametrize("kern", [EXP, POW], ids=["exp", "power"])
+def test_one_request_builds_its_grid_once(kern, monkeypatch):
+    # the solve, its residual and the exponent share one _TauGrid: the full
+    # and the half-grid convolution are built once each and kappa_bar once
+    orders = spx_g_expansion(5).orders
+    build, evaluate = affine._Convolution.__init__, affine.kappa_bar
+    builds, evaluations = [], []
+
+    def counting_build(self, *args):
+        builds.append(args[1].size)
+        build(self, *args)
+
+    def counting_kappa_bar(*args):
+        evaluations.append(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(affine._Convolution, "__init__", counting_build)
+    monkeypatch.setattr(affine, "kappa_bar", counting_kappa_bar)
+    affine._tau_grid.cache_clear()
+    bench_like_request(kern, 0.1, 1024, orders)
+    assert builds == [1025, 513]
+    assert len(evaluations) == 1
+    assert affine._tau_grid.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("c", [0.0, 0.1], ids=["c0", "c"])
+@pytest.mark.parametrize("kern", [EXP, POW], ids=["exp", "power"])
+def test_shared_grid_gives_the_bits_of_fresh_ones(kern, c):
+    # sharing the grid moves no bit, whichever call builds it: the solve, or
+    # the exponent before the solve (the half grid then comes later)
+    orders = spx_g_expansion(5).orders
+    want = bench_like_request(kern, c, 512, orders, fresh=True)
+    affine._tau_grid.cache_clear()
+    assert bench_like_request(kern, c, 512, orders) == want
+    affine._tau_grid.cache_clear()
+    spx_expansion_value(5, orders, kern, -0.6, 0.2, 0.1, c, 0.1, ForwardVarianceCurve.flat(0.04),
+                        x=0.0, zeta=0.0, t=0.0, T=1.0, n_steps=512)
+    assert affine._tau_grid(kern, 1.0, 512)._half is None
+    assert bench_like_request(kern, c, 512, orders) == want
+
+
+def test_shared_grid_follows_the_window():
+    # one grid serves windows delta in turn, each with its own kappa_bar
+    tau_grid = affine._tau_grid(POW, 1.0, 64)
+    for delta in (0.1, 0.2, 0.1):
+        assert np.array_equal(tau_grid.kbar(delta), kappa_bar(POW, tau_grid.grid, delta))
+
+
+def test_shared_grid_arrays_are_read_only():
+    sol = solve_riccati(POW, -0.7, 0.25, 0.1, 0.1, 0.1, horizon=1.0, n_steps=64)
+    tau_grid = affine._tau_grid(POW, 1.0, 64)
+    assert sol.grid is tau_grid.grid
+    convolutions = (tau_grid.convolve, tau_grid.half)
+    arrays = [tau_grid.grid, tau_grid.kbar(0.1), *tau_grid._antiderivatives]
+    arrays += [array for conv in convolutions for array in (conv.W, conv.E, conv.spectrum)]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
 
 
 def bench_like_params(kern, c):

@@ -31,6 +31,7 @@ from diamond_forests.mc import (
 from diamond_forests.models.bessel import bessel_laplace
 from diamond_forests.models.brownian import stopped_bm_cgf
 from diamond_forests.models.chaos2 import (
+    Chaos2State,
     chaos2_cumulants,
     eigenvalue_cumulants,
     kernel_from_function,
@@ -87,10 +88,17 @@ def test_exact_levy_area_variance_is_the_euler_variance(n):
     assert k2 == pytest.approx(T * T * (1.0 - 1.0 / n), rel=1e-12)
 
 
-def test_exact_chaos2_cumulants_are_the_eigenvalue_cumulants():
+def test_exact_chaos2_cumulants_are_the_eigenvalue_cumulants(monkeypatch):
+    # SimConfig checks the kernel once, and exact_cumulants reads that state
     F = kernel_from_function(lambda s, u: 1.0 + 0.5 * s * u, 1.5, 32)
+    check = Chaos2State.__post_init__
+    checks = []
+    monkeypatch.setattr(Chaos2State, "__post_init__", lambda self: checks.append(check(self)))
     cfg = SimConfig("Chaos2", {"kernel": F.kernel}, 1000, 32, 1.5, seed=0)
-    assert exact_cumulants(cfg, 6) == eigenvalue_cumulants(F, 6)
+    got = exact_cumulants(cfg, 6)
+    monkeypatch.undo()
+    assert len(checks) == 1
+    assert got == eigenvalue_cumulants(F, 6)
 
 
 @pytest.mark.parametrize("model", ["BESQ", "Heston", "StoppedBM"])
