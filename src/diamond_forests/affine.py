@@ -47,6 +47,8 @@ only at the solver's nodes, and evaluates it only there: in Hermite form the
 fine samples of one cubic piece are linear in g and in the PCHIP slopes at its
 two ends, so the fine weights fold into one coarse weight vector on g and one
 on the slopes, and the sum becomes two convolutions at the solver's length.
+The fine nodes, their kernel moments and the fold are built in blocks of at
+most 8192 fine steps, so no array longer than that is formed.
 
 Everything of one uniform grid that does not depend on (rho, a, b, c) is held
 by a ``_TauGrid``, the grid's convolution and kappa_bar among them, read-only,
@@ -94,11 +96,13 @@ GROWTH_BOUND = 1.0e3
 # to the march.
 _SWEEP_CAP = 24
 # A sweep certifies once its update is within this multiple of |C| + max u^2/2,
-# the size of the terms of g = C + u^2/2: FFT rounding leaves the update at up
-# to 3 eps of it, where g itself can be far smaller than its terms.
+# the size of the terms of g = C + u^2/2: FFT rounding leaves the settled update
+# at up to 3.6 eps of it (1.6 eps on the benchmark's requests), where g itself
+# can be far smaller than its terms.
 _ROUNDING_FLOOR = 8.0 * np.finfo(float).eps
 _LEAF_STEPS = 16  # march blocks this short are solved by a scalar loop
 _FFT_STEPS = 128  # finished halves this long reach the next half by FFT
+_FOLD_STEPS = 8192  # the residual's fine grid is folded in blocks of at most this many steps
 
 
 # ---------------------------------------------------------------------------
@@ -309,20 +313,24 @@ def _conv_weights(
 
 
 class _Convolution:
-    """The ``_conv_weights`` sum applied to a whole vector on one grid: one FFT
-    product against ``spectrum`` = rfft(W) at a 5-smooth length of at least
-    2n - 1, so no wrap-around reaches the first n entries.  Its arrays are
+    """The ``_conv_weights`` sum applied to a whole vector on one grid of n
+    steps: one FFT product against ``spectrum`` = rfft(W) at a 5-smooth length
+    of at least 2n.  W and the vector have n + 1 entries, so their circular
+    product wraps only entry 2n of the linear one, onto entry 0, which is set
+    to 0 anyway (the convolution vanishes at tau = 0).  Its arrays are
     read-only, since a ``_TauGrid`` shares them."""
 
     def __init__(self, kernel: KernelSpec, grid: np.ndarray,
                  antiderivatives: Optional[Tuple[np.ndarray, ...]] = None):
         self.W, self.E = map(_read_only, _conv_weights(kernel, grid, antiderivatives))
-        self.length = _fft_length(2 * grid.size - 1)
+        self.length = _fft_length(2 * (grid.size - 1))
         self.spectrum = _read_only(np.fft.rfft(self.W, self.length))
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        n = self.W.size
-        out = np.fft.irfft(self.spectrum * np.fft.rfft(values, self.length), self.length)[:n]
+        product = np.fft.rfft(values, self.length)
+        # spectrum first: numpy's complex product rounds by operand order
+        np.multiply(self.spectrum, product, out=product)
+        out = np.fft.irfft(product, self.length)[: self.W.size]
         out -= self.E * values[0]
         out[0] = 0.0  # the convolution vanishes at tau = 0
         return out
@@ -436,8 +444,12 @@ class AffineState:
     def diamond(self, other: "AffineState") -> "AffineState":
         z1, w1, z2, w2 = self.z, self.w, other.z, other.w
         h = w1 * w2
-        if z1 or z2:  # only a price leaf has dZ terms
-            h += z1 * z2 + self.rho * (z1 * w2 + z2 * w1)
+        if z1 or z2:  # only a price leaf has dZ terms: h += z1 z2 + rho (z1 w2 + z2 w1)
+            terms = z1 * w2
+            terms += z2 * w1
+            terms *= self.rho
+            terms += z1 * z2
+            h += terms
         return AffineState(self.convolve, self.rho, 0.0, h, None)
 
 
@@ -672,16 +684,20 @@ def _riccati_sweep(
     the first iterate, by default the sweep from g = 0.
     """
     g = C + 0.5 * q * q if start is None else start
+    work = np.empty_like(q)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_SWEEP_CAP):
-            u = q + convolve(g)
-            half_square = 0.5 * u * u
-            swept = C + half_square
-            if not np.max(np.abs(swept)) <= GROWTH_BOUND:  # also refuses nan
+            u = convolve(g)
+            u += q
+            swept = np.multiply(0.5, u)
+            swept *= u  # u^2/2
+            top = swept.max()
+            swept += C
+            if not (-GROWTH_BOUND <= swept.min() and swept.max() <= GROWTH_BOUND):  # refuses nan
                 return None
-            step = np.max(np.abs(swept - g))
+            step = np.abs(np.subtract(swept, g, out=work), out=work).max()
             g = swept
-            if step <= _ROUNDING_FLOOR * (abs(C) + np.max(half_square)):
+            if step <= _ROUNDING_FLOOR * (abs(C) + top):
                 return g if np.all(convolve.W[0] * u < 1.0) else None
     return None
 
@@ -777,31 +793,48 @@ def _refined_convolution(
     the right ends (H01, H11) of piece j - p - 1, its head, and the left
     ends (H00, H10) of piece j - p.  At p = j the head's phases r >= 1 would
     read piece -1 and its phase-0 part is what Ef[R j] g[0] takes off, so the
-    whole head comes off as an end term.  Wf and Ef are never formed.
+    whole head comes off as an end term.  Wf and Ef are never formed: the
+    fine nodes (those of ``np.linspace``), their moments and the fold run over
+    blocks of whole pieces, of at most ``_FOLD_STEPS`` fine steps unless
+    ``refine`` is so large that four pieces hold more.
     """
     n = grid.size - 1
     dtau = grid[1] - grid[0]
-    fine = np.linspace(0.0, grid[-1], refine * n + 1)
-    m0, m1 = kernel.moments(fine)
-    B = fine[1:] * m0  # left-node weights of the fine subintervals, as in _conv_weights
-    B -= m1
-    B /= fine[1] - fine[0]
-    A = m0
-    A -= B  # right-node weights: Wf[m] = A[m - 1] + B[m] and Ef[m] = B[m]
-    A, B = A.reshape(n, refine), B.reshape(n, refine)
+    step = grid[-1] / (refine * n)  # that of np.linspace(0, grid[-1], refine * n + 1)
     t = np.arange(refine - 1, 0, -1) / refine  # t_r for r = 1 .. R-1
     hermite = np.array(((1 + 2 * t) * (1 - t) ** 2, t * t * (3 - 2 * t),
                         t * (1 - t) ** 2, t * t * (t - 1)))
-    folded = (B[:, 1:] + A[:, :-1]) @ hermite.T  # [p, k] = sum_{r>=1} Wf[R p + r] Hk(t_r)
     head = np.zeros((2, n + 1))  # on g[j - p] and d[j - p]
-    head[0, :n] = B[:, 0] + folded[:, 1]
-    head[1, :n] = dtau * folded[:, 3]
-    weights = head.copy()
-    weights[0, 1:] += A[:, -1] + folded[:, 0]
-    weights[1, 1:] += dtau * folded[:, 2]
+    weights = np.zeros((2, n + 1))
+    # blocks of near-equal size, so none holds a single piece (n >= 2): a
+    # one-row matmul takes another BLAS route, whose rounding differs
+    blocks = -(-n // max(4, _FOLD_STEPS // refine))
+    for i in range(blocks):
+        lo, hi = n * i // blocks, n * (i + 1) // blocks
+        fine = np.arange(refine * lo, refine * hi + 1, dtype=float)
+        fine *= step
+        if hi == n:
+            fine[-1] = grid[-1]
+        m0, m1 = kernel.moments(fine)
+        B = fine[1:] * m0  # left-node weights of the fine subintervals, as in _conv_weights
+        B -= m1
+        B /= step
+        A = m0
+        A -= B  # right-node weights: Wf[m] = A[m - 1] + B[m] and Ef[m] = B[m]
+        A, B = A.reshape(-1, refine), B.reshape(-1, refine)
+        folded = (B[:, 1:] + A[:, :-1]) @ hermite.T  # [p, k] = sum_{r>=1} Wf[R p + r] Hk(t_r)
+        head[0, lo:hi] = B[:, 0] + folded[:, 1]
+        head[1, lo:hi] = dtau * folded[:, 3]
+        weights[0, lo + 1 : hi + 1] = A[:, -1] + folded[:, 0]
+        weights[1, lo + 1 : hi + 1] = dtau * folded[:, 2]
+    weights += head
     d = _pchip_slopes(grid, g)[0]
     size = _fft_length(2 * n)  # entries 1 .. n take no wrap-around; entry 0 is set below
-    spectrum = (np.fft.rfft(weights, size) * np.fft.rfft((g, d), size)).sum(axis=0)
+    spectrum = np.fft.rfft(weights[0], size)
+    spectrum *= np.fft.rfft(g, size)
+    slopes = np.fft.rfft(weights[1], size)
+    slopes *= np.fft.rfft(d, size)
+    spectrum += slopes
     out = np.fft.irfft(spectrum, size)[: n + 1]
     out -= head[0] * g[0] + head[1] * d[0]
     out[0] = 0.0  # the convolution vanishes at tau = 0
@@ -823,8 +856,12 @@ def riccati_residual(sol: RiccatiSolution, refine: int = 8) -> float:
     conv = _refined_convolution(sol.kernel, sol.grid, sol.g, refine)
     kbar = _tau_grid(sol.kernel, sol.horizon, sol.grid.size - 1).kbar(sol.delta)
     C, q = _riccati_terms(sol.rho, sol.a, sol.b, sol.c, kbar)
-    defect = C + 0.5 * (q + conv) ** 2 - sol.g
-    return float(np.max(np.abs(defect)))
+    conv += q  # the defect C + (q + conv)^2 / 2 - g, in place
+    conv *= conv
+    conv *= 0.5
+    conv += C
+    conv -= sol.g
+    return float(np.abs(conv, out=conv).max())
 
 
 def heston_ode_reference(
@@ -951,9 +988,12 @@ def spx_exponent(
     tau_grid = _tau_grid(kernel, T - t, n_steps)
     leaves = _leaf_states(tau_grid.convolve, rho, tau_grid.kbar(delta))
     states = cumulant_states(_spx_seeds(leaves["Y"], leaves["zeta"], a, b, c), order)
-    h = sum(states[k].h for k in range(2, order + 1))
     grid = tau_grid.grid
-    value = a * x + c * zeta + float(np.trapezoid(curve(T - grid) * h, grid))
+    h = np.zeros_like(grid)
+    for k in range(2, order + 1):
+        h += states[k].h
+    h *= curve(T - grid)
+    value = a * x + c * zeta + float(np.trapezoid(h, grid))
     if not math.isfinite(value):
         raise DomainError(f"the order-{order} exponent overflowed: weights (a, b, c) too large")
     return value

@@ -264,13 +264,23 @@ def _sim_heston(cfg: SimConfig, rng: np.random.Generator, m: int) -> Dict[str, n
     v = np.full(m, xi0)
     qv = np.zeros(m)
     mart = np.zeros(m)
+    # each step is dw = sdt z, mart += sv dw, qv += vp dt and
+    # v += lam (xi0 - vp) dt + nu sv dw, evaluated in place in that order
+    dw, vp, sv, work = (np.empty(m) for _ in range(4))
     for _ in range(n):
-        dw = sdt * rng.standard_normal(m)
-        vp = np.maximum(v, 0.0)
-        sv = np.sqrt(vp)
-        mart += sv * dw
-        qv += vp * dt
-        v += lam * (xi0 - vp) * dt + nu * sv * dw
+        rng.standard_normal(out=dw)
+        dw *= sdt
+        np.maximum(v, 0.0, out=vp)
+        np.sqrt(vp, out=sv)
+        mart += np.multiply(sv, dw, out=work)
+        qv += np.multiply(vp, dt, out=work)
+        np.subtract(xi0, vp, out=work)
+        work *= lam
+        work *= dt
+        sv *= nu
+        sv *= dw
+        work += sv
+        v += work
     x = -0.5 * qv + rho * mart + rho_perp * np.sqrt(qv) * rng.standard_normal(m)
     vT = np.maximum(v, 0.0)
     # forward variance after the horizon reverts exponentially toward xi0,

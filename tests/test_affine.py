@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -346,11 +347,13 @@ def test_kernel_convolve_matches_the_per_subinterval_sum(kern, n):
 
 
 @pytest.mark.parametrize("kern", [EXP, POW], ids=["exp", "power"])
-@pytest.mark.parametrize("n", [4097, 32769])
+@pytest.mark.parametrize("n", [1025, 2049, 4097, 32769])
 def test_kernel_convolve_matches_the_direct_sum_at_benchmark_sizes(kern, n):
     # the FFT product against the kernel spectrum equals the direct Toeplitz
-    # sum of the same weights W[m] = A[m-1] + B[m], less E = (B, 0) on v[0]
+    # sum of the same weights W[m] = A[m-1] + B[m], less E = (B, 0) on v[0];
+    # on n - 1 steps the FFT is 2 (n - 1) long, wrapping only onto entry 0
     grid = np.linspace(0.0, 1.0, n)
+    assert affine._Convolution(kern, grid).length == 2 * (n - 1)
     v = np.random.default_rng(n).uniform(-1.0, 1.0, n)
     m0, m1 = kern.moments(grid)
     B = (grid[1:] * m0 - m1) / (grid[1] - grid[0])
@@ -496,17 +499,18 @@ def test_riccati_march_solves_the_discrete_equation_at_the_step_cap(kern):
 
 
 # sha256 of g's bytes and the hex of solver_tolerance, fixed when the solve
-# moved to whole-grid sweeps: the solve (and with it the Heston oracle of the
-# Monte Carlo checks) must not move by a bit
+# moved to whole-grid sweeps (g re-pinned when the FFT length became 2n): the
+# solve (and with it the Heston oracle of the Monte Carlo checks) must not
+# move by a bit
 SOLVE_PINS = {
     "exp": (
         (EXP, -0.7, 0.25, 0.1, 0.0, 0.1),
-        "dd4bc5c818cb94d61a8b3eba80230ffbbb2fa9cdfeb3bf342c9c51b48c7106e6",
+        "b3135223469cd0ffeadfeac14a788e8afd1186709818da6951cdcdfc816542bd",
         "0x1.a7b5800000000p-42",
     ),
     "power": (
         (POW, -0.7, 0.25, 0.1, 0.1, 0.1),
-        "0893f65d8dd10324a30132befb74101400ed66c74b984754d86cdd0f2830949c",
+        "1d8639325eb6ccb4be11f4dd17faae9d28d563534a5add9154d0f4fe0f20a383",
         "0x1.25c7f5f600000p-27",
     ),
 }
@@ -684,6 +688,47 @@ def test_node_convolution_matches_the_fine_route(kern, n):
             assert err <= 1e-14 * np.max(np.abs(want)), (name, refine, err)
         for sol in sols:
             assert riccati_residual(sol, refine) <= 10.0 * sol.solver_tolerance
+
+
+# sha256 of the node sum for the "curve" g above, fixed while the fold still
+# formed the whole fine grid: its blocks must not move a bit.  On 1025 steps
+# at refine 8 the blocks are 513 and 512 pieces (a block of one piece would
+# round differently), and at horizon 0.9 the last fine node, the horizon
+# itself, differs from 3n times the fine step
+FOLD_PINS = {
+    ("exp", 4096, 1.0, 3): "ddc980e47cb7fa8315553ac9c4f55990599296bc0ad404248052a09a08b3751b",
+    ("power", 4096, 1.0, 3): "09f7f11126ffe85f7ea50aee6ff6a0e101ae043411068644be2b2b4510224825",
+    ("exp", 4096, 1.0, 8): "58cb7571e7e36bda98a4871f765065fdd4aa014ba9c66d78fe8aae291b08ea2c",
+    ("power", 4096, 1.0, 8): "2b57c700c3ca635e9fa646b12198a315a52d164e0c8c12e9dc237732f9419410",
+    ("exp", 1025, 1.0, 8): "81d5c0089c31d5ce4382e914c28af4ed0ad45bba8c170a1c935463566661980c",
+    ("power", 1025, 1.0, 8): "62483297d4292fab1248dd0d37b74cb3db421d5b9e582dca9e4e7dcd2dec2879",
+    ("exp", 4096, 0.9, 3): "306b3ef4553068ff72bfd0c19f5e66a9ee2f7381fc04af2b935e799e1ea78b22",
+    ("power", 4096, 0.9, 3): "10965eb3b32aaec65740da1b8712bf6f4e139813008023617c485d47b3ec468a",
+}
+
+
+@pytest.mark.parametrize("name, n, horizon, refine", FOLD_PINS)
+def test_blocked_fold_is_pinned_bit_for_bit(name, n, horizon, refine):
+    grid = np.linspace(0.0, horizon, n + 1)
+    g = 0.3 + np.sin(3.0 * grid) - 0.4 * grid**2
+    got = affine._refined_convolution({"exp": EXP, "power": POW}[name], grid, g, refine)
+    assert hashlib.sha256(got.tobytes()).hexdigest() == FOLD_PINS[name, n, horizon, refine]
+
+
+@pytest.mark.parametrize("kern", [EXP, POW], ids=["exp", "power"])
+def test_residual_forms_no_fine_grid_array(kern):
+    # the fold runs in blocks, so on 4096 steps the residual's traced peak
+    # stays below 1 MiB; one array over the 8 x 4096 fine grid is 256 KiB,
+    # and the whole fine-grid fold peaked at 1.66 MiB
+    sol = solve_riccati(kern, -0.7, 0.25, 0.1, 0.1, 0.1, horizon=1.0, n_steps=4096)
+    riccati_residual(sol)  # the grid's kappa_bar is built and cached
+    tracemalloc.start()
+    try:
+        riccati_residual(sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("refine", [0, -1, 2.5])

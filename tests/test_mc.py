@@ -331,10 +331,14 @@ class _SharedIncrements:
     def __init__(self, rows):
         self.rows = iter(rows)
 
-    def standard_normal(self, size):
+    def standard_normal(self, size=None, out=None):
         if isinstance(size, tuple):
             return np.stack([next(self.rows), np.zeros(size[1])])
-        return next(self.rows, np.zeros(size))
+        row = next(self.rows, np.zeros(size if out is None else out.shape))
+        if out is None:
+            return row
+        out[...] = row
+        return out
 
 
 HESTON_CASES = {
