@@ -35,10 +35,9 @@ against the spectrum of W.  The Riccati equation is solved by Picard sweeps
 over the whole grid, g <- C + (q + kappa * g)^2 / 2, one such convolution
 each; the system is lower triangular, so the sweeps settle within a few
 (about 8 on moderate weights).  Where they cannot certify their answer, near
-blow-up, the march takes over: its next value depends on the last, and it
-builds the same sums block by block (Hairer-Lubich-Schlichte 1985): once the
-left half of a block is solved, one convolution adds its share of the
-history to the right half, so n steps cost O(n log^2 n).
+blow-up, the march takes over: it solves node by node, each node's history
+sum one dot against W, so n steps cost O(n^2), and it refuses at the first
+tau where the equation has no real root or the solution outgrows its bound.
 
 ``riccati_residual`` re-checks a solution with the same product integration
 on a grid ``refine`` times finer, against a PCHIP interpolant of g, so it
@@ -61,7 +60,6 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
@@ -91,17 +89,15 @@ __all__ = [
 ]
 
 GROWTH_BOUND = 1.0e3
-# A march costs as much as 17 (512 or 65536 steps) to 32 (4096 steps) whole-grid
-# sweeps on a 2-core VM; sweeps that have not certified by this many give way
-# to the march.
+# A march costs 23 (512 steps), about 50 (4096) and 75 to 90 (16384 to 65536)
+# whole-grid sweeps on a 2-core VM; sweeps that have not certified by this many
+# give way to the march.  Another cap would move which inputs fall back.
 _SWEEP_CAP = 24
 # A sweep certifies once its update is within this multiple of |C| + max u^2/2,
 # the size of the terms of g = C + u^2/2: FFT rounding leaves the settled update
 # at up to 3.6 eps of it (1.6 eps on the benchmark's requests), where g itself
 # can be far smaller than its terms.
 _ROUNDING_FLOOR = 8.0 * np.finfo(float).eps
-_LEAF_STEPS = 16  # march blocks this short are solved by a scalar loop
-_FFT_STEPS = 128  # finished halves this long reach the next half by FFT
 _FOLD_STEPS = 8192  # the residual's fine grid is folded in blocks of at most this many steps
 
 
@@ -585,87 +581,40 @@ def _riccati_terms(rho, a, b, c, kbar):
     return b - 0.5 * a + 0.5 * (1.0 - rho * rho) * a * a, rho * a + c * kbar
 
 
-class _RiccatiMarch:
-    """The product-integration march of the convolution Riccati equation,
-    solved in increasing j with its history sums built by divide and conquer.
-
-    ``known[j]`` gathers q[j] + W[0] C - E[j] g[0] and the terms W[j-i] g[i]
-    of every finished block, g[0] first (Hairer-Lubich-Schlichte 1985).  A
-    block is solved half by half: once the left half is done, one convolution
-    of it against W adds its terms to the right half's entries, by
-    ``np.correlate`` for short halves and by FFT against a spectrum of W
-    cached per (h, L) for long ones.  Blocks of at most ``_LEAF_STEPS`` are a
-    scalar loop.  Steps are still solved in increasing j, so a refusal names
-    the first failing tau.
-    """
-
-    def __init__(self, convolve: _Convolution, C: float, q: np.ndarray, grid: np.ndarray):
-        self.C = C
-        self.W, E = convolve.W, convolve.E
-        self.w0 = float(self.W[0])
-        self.w1 = self.W[1:_LEAF_STEPS].tolist()
-        self.grid = grid
-        self.g = np.empty(grid.size)
-        self.g[0] = C + 0.5 * q[0] ** 2  # boundary: convolution vanishes at tau = 0
-        self.known = q + self.W[0] * C + (self.W - E) * self.g[0]
-        self.spectra: Dict[Tuple[int, int], Tuple[int, np.ndarray]] = {}
-
-    def solve(self, lo: int, hi: int) -> None:
-        if hi - lo <= _LEAF_STEPS:
-            self._leaf(lo, hi)
-            return
-        mid = (lo + hi) // 2
-        self.solve(lo, mid)
-        self._spill(lo, mid, hi)
-        self.solve(mid, hi)
-
-    def _spill(self, lo: int, mid: int, hi: int) -> None:
-        """Add the terms W[j-i] g[i], lo <= i < mid, to known[j] for mid <= j < hi."""
-        h, L = mid - lo, hi - mid
-        block = self.g[lo:mid]
-        weights = self.W[1 : h + L]
-        if h < _FFT_STEPS:
-            self.known[mid:hi] += np.correlate(weights, block[::-1], "valid")
-            return
-        # entries h-1 .. h+L-2 of the linear convolution need no padding past h+L-1
-        if (h, L) not in self.spectra:
-            size = _fft_length(h + L - 1)
-            self.spectra[h, L] = size, np.fft.rfft(weights, size)
-        size, spectrum = self.spectra[h, L]
-        product = np.fft.irfft(spectrum * np.fft.rfft(block, size), size)
-        self.known[mid:hi] += product[h - 1 : h - 1 + L]
-
-    def _leaf(self, lo: int, hi: int) -> None:
-        C, w0, w1 = self.C, self.w0, self.w1
-        done = []  # this block's solved values, latest first
-        for j, known in zip(range(lo, hi), self.known[lo:hi].tolist()):
-            # k = q[j] + P + W0 C, P the known part of (kappa * g)(tau_j); then
-            # x = C + u^2/2 with u = q[j] + P + W0 x solves (W0/2) u^2 - u + k = 0
-            k = known + sum(map(operator.mul, w1, done))
-            D = 1.0 - 2.0 * w0 * k
-            if D < 0.0:
-                raise DomainError(
-                    f"per-step equation has no real root at tau = {self.grid[j]:.6g}: "
-                    f"the solution blew up; weights (a, b, c) outside the domain"
-                )
-            # the root continuous in W0 -> 0 (u -> k), free of cancellation
-            u = 2.0 * k / (1.0 + math.sqrt(D))
-            x = C + 0.5 * u * u
-            if abs(x) > GROWTH_BOUND:
-                raise DomainError(
-                    f"solution magnitude exceeded {GROWTH_BOUND:g} at tau = "
-                    f"{self.grid[j]:.6g}; weights (a, b, c) outside the small-argument domain"
-                )
-            done.insert(0, x)
-        self.g[lo:hi] = done[::-1]
-
-
 def _riccati_march(
     convolve: _Convolution, C: float, q: np.ndarray, grid: np.ndarray
 ) -> np.ndarray:
-    march = _RiccatiMarch(convolve, C, q, grid)
-    march.solve(1, grid.size)
-    return march.g
+    """The product-integration march of the convolution Riccati equation,
+    node by node in increasing j, so a refusal names the first failing tau.
+    The known part of (kappa * g)(tau_j), the terms W[j-i] g[i] for i < j
+    less E[j] g[0], is one BLAS dot of g[:j] against W[1:] reversed.
+    """
+    W = convolve.W
+    w0 = float(W[0])
+    reversed_W = W[:0:-1].copy()  # W[n], ..., W[1]: node j reads its last j entries
+    g = np.empty_like(q)
+    g[0] = C + 0.5 * q[0] ** 2  # boundary: convolution vanishes at tau = 0
+    known = (q + w0 * C - convolve.E * g[0]).tolist()
+    for j in range(1, W.size):
+        # k = q[j] + P + W0 C, P the known part of (kappa * g)(tau_j); then
+        # x = C + u^2/2 with u = q[j] + P + W0 x solves (W0/2) u^2 - u + k = 0
+        k = known[j] + float(reversed_W[-j:] @ g[:j])
+        D = 1.0 - 2.0 * w0 * k
+        if D < 0.0:
+            raise DomainError(
+                f"per-step equation has no real root at tau = {grid[j]:.6g}: "
+                f"the solution blew up; weights (a, b, c) outside the domain"
+            )
+        # the root continuous in W0 -> 0 (u -> k), free of cancellation
+        u = 2.0 * k / (1.0 + math.sqrt(D))
+        x = C + 0.5 * u * u
+        if abs(x) > GROWTH_BOUND:
+            raise DomainError(
+                f"solution magnitude exceeded {GROWTH_BOUND:g} at tau = "
+                f"{grid[j]:.6g}; weights (a, b, c) outside the small-argument domain"
+            )
+        g[j] = x
+    return g
 
 
 def _riccati_sweep(

@@ -389,10 +389,14 @@ def cmd_riccati(args) -> dict:
     if args.kernel == "exp":
         if args.lam is None:
             raise UsageError("exponential kernel needs --lambda")
+        if args.alpha is not None:
+            raise UsageError("exponential kernel takes no --alpha")
         kern = KernelSpec.exponential(nu=args.nu, lam=args.lam)
     else:
         if args.alpha is None:
             raise UsageError("power-law kernel needs --alpha")
+        if args.lam is not None:
+            raise UsageError("power-law kernel takes no --lambda")
         kern = KernelSpec.power_law(nu=args.nu, alpha=args.alpha)
     steps = _flag("steps", args.steps, MIN_STEPS, "the Riccati solve", MAX_STEPS)
     sol = solve_riccati(

@@ -417,9 +417,8 @@ def march_inputs(kern, rho, a, b, c, delta, grid):
 @pytest.mark.parametrize("kern", [EXP, POW], ids=["exp", "power"])
 @pytest.mark.parametrize("n", [8, 9, 17, 1000, 4096])
 def test_blocked_march_matches_the_direct_march(kern, n):
-    # odd step counts split into unequal halves at every level; 4096 steps
-    # take the FFT branch of the history sums.  The solve sweeps here, so the
-    # march is run on its own as well
+    # the solve sweeps here, so the march is run on its own as well; it sums
+    # each node's history in the other order from ``direct_march``
     a, b, c, rho, delta = 0.25, 0.1, 0.1, -0.7, 0.1
     sol = solve_riccati(kern, rho, a, b, c, delta, horizon=1.0, n_steps=n)
     want = direct_march(kern, rho, a, b, c, delta, sol.grid)
@@ -441,13 +440,50 @@ def test_solve_falls_back_to_the_march_where_sweeps_do_not_certify():
     assert sol.g.tobytes() == affine._riccati_march(*inputs, grid).tobytes()
 
 
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_march_matches_the_direct_march_where_sweeps_do_not_certify(n):
+    # g grows to about 900 here, so the gap is bounded relative to max |g|
+    sol = solve_riccati(*SLOW_SWEEPS, horizon=1.05, n_steps=n)
+    want = direct_march(*SLOW_SWEEPS, sol.grid)
+    assert np.max(np.abs(sol.g - want)) <= 2e-14 * np.max(np.abs(want))
+
+
+def test_sweeps_refuse_a_settled_repelling_root():
+    # node 8 is set to the other root of its step quadratic, u = (1 + sqrt D)/W0,
+    # so the sweep from there settles at once and only W0 u < 1 can refuse it
+    kern, rho, a, b, c, delta = KernelSpec.power_law(1.0, 0.55), -0.7, 0.25, 0.1, 0.1, 0.1
+    grid = np.linspace(0.0, 1.0, 9)
+    convolve, C, q = inputs = march_inputs(kern, rho, a, b, c, delta, grid)
+    start = affine._riccati_march(*inputs, grid)
+    W, E = convolve.W, convolve.E
+    k = q[8] + W[8:0:-1] @ start[:8] - E[8] * start[0] + W[0] * C
+    u = (1.0 + math.sqrt(1.0 - 2.0 * W[0] * k)) / W[0]
+    start[8] = C + 0.5 * u * u
+    assert W[0] * u > 2.0
+    swept = C + 0.5 * (q + convolve(start)) ** 2
+    assert np.max(np.abs(swept - start)) <= affine._ROUNDING_FLOOR * (abs(C) + 0.5 * u * u)
+    assert affine._riccati_sweep(*inputs, start) is None
+
+
+def test_sweeps_certify_where_g_is_its_constant_term():
+    # C = -0.5 and u = c kappa_bar + kappa * g is small, so g is about C and the
+    # settled update is rounding of |C|: the sweeps must certify on that scale
+    kern, rho, a, b, c, delta = KernelSpec.power_law(0.3, 0.7), 0.0, 0.0, -0.5, 0.05, 0.1
+    grid = np.linspace(0.0, 1.0, 1025)
+    inputs = march_inputs(kern, rho, a, b, c, delta, grid)
+    assert inputs[1] == -0.5
+    g = affine._riccati_sweep(*inputs)
+    assert g is not None
+    assert np.max(np.abs(g - affine._riccati_march(*inputs, grid))) <= 1e-15
+
+
 def test_solve_sweeps_without_the_march(monkeypatch):
     # the bench's parameter ranges, the step cap and the squared Bessel kernel
     # are all solved by certified sweeps, so none of them needs the march
     def no_march(*args):
         raise AssertionError("the solve fell back to the march")
 
-    monkeypatch.setattr(affine, "_RiccatiMarch", no_march)
+    monkeypatch.setattr(affine, "_riccati_march", no_march)
     rng = np.random.default_rng(34)
     for kind in ("exp", "power"):
         for c_zero in (True, False):
@@ -470,7 +506,7 @@ def test_solve_sweeps_without_the_march(monkeypatch):
     [
         ((EXP, 0.0, 40.0, 40.0, 0.0, 0.1), 256, "magnitude exceeded"),
         ((EXP, 0.0, 40.0, 40.0, 0.0, 0.1), 8, "no real root"),
-        # past the Heston pole at tau = log 3, after FFT history sums
+        # past the Heston pole at tau = log 3
         ((KernelSpec.exponential(1.0, 1.0), 1.0, 3.0, -1.5, 0.0, 0.1), 4096, "magnitude"),
         ((KernelSpec.power_law(1.0, 0.6), 1.0, 3.0, -1.5, 0.5, 0.1), 4096, "magnitude"),
     ],
@@ -486,11 +522,12 @@ def test_blocked_march_refuses_where_the_direct_march_does(args, n_steps, reason
 
 @pytest.mark.parametrize("kern", [EXP, POW], ids=["exp", "power"])
 def test_riccati_march_solves_the_discrete_equation_at_the_step_cap(kern):
+    # the solve sweeps here, so the march is called on its own
     a, b, c, rho, delta = 0.25, 0.1, 0.1, -0.7, 0.1
-    sol = solve_riccati(kern, rho, a, b, c, delta, horizon=1.0, n_steps=MAX_STEPS)
-    C = b - 0.5 * a + 0.5 * (1.0 - rho * rho) * a * a
-    q = rho * a + c * kappa_bar(kern, sol.grid, delta)
-    defect = C + 0.5 * (q + kernel_convolve(kern, sol.g, sol.grid)) ** 2 - sol.g
+    grid = np.linspace(0.0, 1.0, MAX_STEPS + 1)
+    convolve, C, q = inputs = march_inputs(kern, rho, a, b, c, delta, grid)
+    g = affine._riccati_march(*inputs, grid)
+    defect = C + 0.5 * (q + convolve(g)) ** 2 - g
     assert np.max(np.abs(defect)) <= 1e-15
 
 

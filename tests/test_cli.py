@@ -256,6 +256,19 @@ def test_riccati_power_kernel_runs():
     assert doc["result"]["residual"] < 1e-6
 
 
+@pytest.mark.parametrize(
+    "kernel, read, unread",
+    [("power", ["--alpha", "0.6"], ["--lambda", "1"]),
+     ("exp", ["--lambda", "1"], ["--alpha", "0.6"])],
+    ids=["power-lambda", "exp-alpha"],
+)
+def test_riccati_refuses_the_flag_its_kernel_does_not_read(kernel, read, unread, capsys):
+    argv = ["riccati", "--kernel", kernel, *read, *unread, "--nu", "0.3", "--rho", "-0.7",
+            "--a", "0.25", "--b", "0.1", "--T", "1", "--steps", "32"]
+    assert cli.main(argv) == 2
+    assert f"kernel takes no {unread[0]}" in capsys.readouterr().err
+
+
 def test_mc_bmdrift_estimates_near_truth():
     doc = run_json(["mc", "--model", "BMdrift", "--paths", "200000",
                     "--seed", "5", "--param", "mu=0.2", "--T", "1.0",
