@@ -49,9 +49,11 @@ on the slopes, and the sum becomes two convolutions at the solver's length.
 The fine nodes, their kernel moments and the fold are built in blocks of at
 most 8192 fine steps, so no array longer than that is formed.
 
-Everything of one uniform grid that does not depend on (rho, a, b, c) is held
-by a ``_TauGrid``, the grid's convolution and kappa_bar among them, read-only,
-and the last one is cached: the solve, its residual and the exponent of one
+One uniform grid is one ``_TauGrid``: it holds the grid, W, E and the
+spectrum of W, and calling it convolves a vector.  It builds, once each and
+read-only, what else on the grid does not depend on (rho, a, b, c): the half
+grid of the solver's error estimate, itself a ``_TauGrid``, and kappa_bar.
+The last one is cached, so the solve, its residual and the exponent of one
 request on the same (kernel, horizon, n_steps) build it once.
 """
 
@@ -89,9 +91,9 @@ __all__ = [
 ]
 
 GROWTH_BOUND = 1.0e3
-# A march costs 23 (512 steps), about 50 (4096) and 75 to 90 (16384 to 65536)
-# whole-grid sweeps on a 2-core VM; sweeps that have not certified by this many
-# give way to the march.  Another cap would move which inputs fall back.
+# A march costs about 40 (512 steps), 95 (4096), 110 (16384) and 220 to 250
+# (65536) whole-grid sweeps on a 2-core VM; sweeps that have not certified by
+# this many give way to the march.  Another cap would move which inputs fall back.
 _SWEEP_CAP = 24
 # A sweep certifies once its update is within this multiple of |C| + max u^2/2,
 # the size of the terms of g = C + u^2/2: FFT rounding leaves the settled update
@@ -175,29 +177,19 @@ class KernelSpec:
         integration keep first order through the power-law singularity.  Each
         antiderivative is evaluated once per node and differenced.
         """
-        return self._differenced(*self._antiderivatives(grid))
-
-    def _antiderivatives(self, grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The node values (p0, p1) that ``_differenced`` turns into moments,
-        up to the constant factors it applies.  They are elementwise, so those
-        of ``grid[::2]`` are bit for bit every second value of ``grid``'s."""
         if self.kind == "exp":
             e = np.exp(-self.lam * grid)
             p1 = grid / self.lam
             p1 += 1.0 / self.lam**2
             p1 *= e
-            return e, p1
-        if self.kind == "flat":
-            return grid, grid**2
-        return grid**self.alpha, grid ** (self.alpha + 1)
-
-    def _differenced(self, p0: np.ndarray, p1: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(m0, m1) from the node values of ``_antiderivatives``, scaled in place."""
-        if self.kind == "exp":
-            m0, m1 = p0[:-1] - p0[1:], p1[:-1] - p1[1:]
+            m0, m1 = e[:-1] - e[1:], p1[:-1] - p1[1:]
             m0 *= self.nu / self.lam
             m1 *= self.nu
             return m0, m1
+        if self.kind == "flat":
+            p0, p1 = grid, grid**2
+        else:
+            p0, p1 = grid**self.alpha, grid ** (self.alpha + 1)
         m0, m1 = p0[1:] - p0[:-1], p1[1:] - p1[:-1]
         m0 *= self.nu
         m1 *= self.nu
@@ -290,37 +282,36 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _conv_weights(
-    kernel: KernelSpec, grid: np.ndarray, antiderivatives: Optional[Tuple[np.ndarray, ...]] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Toeplitz weights W and endpoint correction E of the product integration:
-    (kappa * v)(grid[j]) = sum_{m<=j} W[m] v[j-m] - E[j] v[0] for piecewise-linear
-    v on the uniform grid.  Subinterval i weights its left node by
-    B[i] = integral kappa(s) (tau_{i+1} - s) ds / dtau and its right node by
-    A[i] = m0[i] - B[i], so W[m] = A[m-1] + B[m] and W[0] = B[0] weights v[j];
-    E = (B, 0) takes off the B[j] that W[j] puts on v[0] past the sum's end.
-    ``antiderivatives`` are the kernel's node values on ``grid``, if known."""
-    dtau = grid[1] - grid[0]
-    m0, m1 = kernel._differenced(*(antiderivatives or kernel._antiderivatives(grid)))
-    B = (grid[1:] * m0 - m1) / dtau
-    E = np.append(B, 0.0)
-    W = E + np.append(0.0, m0 - B)
-    return W, E
+class _TauGrid:
+    """One uniform tau-grid of n steps and the kernel's convolution on it.
 
+    For piecewise-linear v the product integration gives
+    (kappa * v)(grid[j]) = sum_{m<=j} W[m] v[j-m] - E[j] v[0].  Subinterval i
+    weights its left node by B[i] = integral kappa(s) (tau_{i+1} - s) ds / dtau
+    and its right node by A[i] = m0[i] - B[i], so W[m] = A[m-1] + B[m] and
+    W[0] = B[0] weights v[j]; E = (B, 0) takes off the B[j] that W[j] puts on
+    v[0] past the sum's end.  Calling the grid applies that sum to a whole
+    vector: one FFT product against ``spectrum`` = rfft(W) at a 5-smooth
+    ``length`` of at least 2n.  W and the vector have n + 1 entries, so their
+    circular product wraps only entry 2n of the linear one, onto entry 0,
+    which is set to 0 anyway (the convolution vanishes at tau = 0).
 
-class _Convolution:
-    """The ``_conv_weights`` sum applied to a whole vector on one grid of n
-    steps: one FFT product against ``spectrum`` = rfft(W) at a 5-smooth length
-    of at least 2n.  W and the vector have n + 1 entries, so their circular
-    product wraps only entry 2n of the linear one, onto entry 0, which is set
-    to 0 anyway (the convolution vanishes at tau = 0).  Its arrays are
-    read-only, since a ``_TauGrid`` shares them."""
+    It also builds, once each, the grid ``half`` of the solver's error
+    estimate, ``_TauGrid(kernel, grid[::2])``, and the zeta loading
+    ``kbar(delta)``.  Its own arrays are read-only, since every solve,
+    residual and exponent on the grid shares them.
+    """
 
-    def __init__(self, kernel: KernelSpec, grid: np.ndarray,
-                 antiderivatives: Optional[Tuple[np.ndarray, ...]] = None):
-        self.W, self.E = map(_read_only, _conv_weights(kernel, grid, antiderivatives))
+    def __init__(self, kernel: KernelSpec, grid: np.ndarray):
+        self.kernel, self.grid = kernel, grid
+        m0, m1 = kernel.moments(grid)
+        B = (grid[1:] * m0 - m1) / (grid[1] - grid[0])
+        self.E = _read_only(np.append(B, 0.0))
+        self.W = _read_only(self.E + np.append(0.0, m0 - B))
         self.length = _fft_length(2 * (grid.size - 1))
         self.spectrum = _read_only(np.fft.rfft(self.W, self.length))
+        self._half: Optional[_TauGrid] = None
+        self._kbar: Tuple[float, Optional[np.ndarray]] = (math.nan, None)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         product = np.fft.rfft(values, self.length)
@@ -331,37 +322,10 @@ class _Convolution:
         out[0] = 0.0  # the convolution vanishes at tau = 0
         return out
 
-
-def kernel_convolve(kernel: KernelSpec, values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """(kappa * v)(tau_j) on the grid for piecewise-linear v, exact kernel moments:
-    one FFT convolution with the weights of ``_Convolution``."""
-    return _Convolution(kernel, grid)(np.asarray(values, dtype=float))
-
-
-class _TauGrid:
-    """What every solve, residual and exponent on one uniform tau-grid shares,
-    each part built once: the grid, its ``_Convolution``, the half grid's
-    (``half``, for the solver's error estimate) and the zeta loading
-    ``kbar(delta)``.  Every array is read-only.
-
-    The half grid is ``grid[::2]``; its weights come from the even nodes'
-    antiderivatives and its kappa_bar is ``kbar(delta)[::2]``, both bit for
-    bit what that grid computes on its own (the node values are elementwise).
-    """
-
-    def __init__(self, kernel: KernelSpec, horizon: float, n_steps: int):
-        self.kernel = kernel
-        self.grid = _read_only(np.linspace(0.0, horizon, n_steps + 1))
-        self._antiderivatives = tuple(map(_read_only, kernel._antiderivatives(self.grid)))
-        self.convolve = _Convolution(kernel, self.grid, self._antiderivatives)
-        self._half: Optional[_Convolution] = None
-        self._kbar: Tuple[float, Optional[np.ndarray]] = (math.nan, None)
-
     @property
-    def half(self) -> _Convolution:
+    def half(self) -> _TauGrid:
         if self._half is None:
-            even = tuple(p[::2] for p in self._antiderivatives)
-            self._half = _Convolution(self.kernel, self.grid[::2], even)
+            self._half = _TauGrid(self.kernel, self.grid[::2])
         return self._half
 
     def kbar(self, delta: float) -> np.ndarray:
@@ -371,11 +335,18 @@ class _TauGrid:
         return self._kbar[1]
 
 
+def kernel_convolve(kernel: KernelSpec, values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """(kappa * v)(tau_j) on the grid for piecewise-linear v, exact kernel moments:
+    one FFT convolution of the ``_TauGrid`` on ``grid``."""
+    return _TauGrid(kernel, grid)(np.asarray(values, dtype=float))
+
+
 @lru_cache(maxsize=1)
 def _tau_grid(kernel: KernelSpec, horizon: float, n_steps: int) -> _TauGrid:
-    """The ``_TauGrid`` of (kernel, horizon, n_steps); the last one is kept, so
-    the solve, residual and exponent of one request build it once."""
-    return _TauGrid(kernel, horizon, n_steps)
+    """The ``_TauGrid`` on n_steps uniform steps of [0, horizon], its grid
+    read-only; the last one is kept, so the solve, residual and exponent of
+    one request build it once."""
+    return _TauGrid(kernel, _read_only(np.linspace(0.0, horizon, n_steps + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +380,7 @@ class AffineState:
 
     def __init__(
         self,
-        convolve: _Convolution,
+        convolve: _TauGrid,
         rho: float,
         z: float,
         h: Optional[np.ndarray],
@@ -449,9 +420,9 @@ class AffineState:
         return AffineState(self.convolve, self.rho, 0.0, h, None)
 
 
-def _leaf_states(convolve: _Convolution, rho: float, kbar: np.ndarray) -> Dict[str, AffineState]:
-    price = AffineState(convolve, rho, 1.0, None, np.zeros_like(kbar))
-    zeta = AffineState(convolve, rho, 0.0, None, kbar)
+def _leaf_states(tau_grid: _TauGrid, rho: float, kbar: np.ndarray) -> Dict[str, AffineState]:
+    price = AffineState(tau_grid, rho, 1.0, None, np.zeros_like(kbar))
+    zeta = AffineState(tau_grid, rho, 0.0, None, kbar)
     return {"X": price, "Y": price, "zeta": zeta}
 
 
@@ -485,7 +456,7 @@ def tree_value(
     if tree.label is not None:
         raise ValueError("a single leaf is not a diamond tree (needs >= 2 leaves)")
     tau_grid = _tau_grid(kernel, T - t, n_steps)
-    h = _tree_state(tree, _leaf_states(tau_grid.convolve, rho, tau_grid.kbar(delta))).h
+    h = _tree_state(tree, _leaf_states(tau_grid, rho, tau_grid.kbar(delta))).h
     if not np.all(np.isfinite(h)):
         raise DomainError("h must be finite on the grid")
     return float(np.trapezoid(curve(T - tau_grid.grid) * h, tau_grid.grid))
@@ -581,24 +552,24 @@ def _riccati_terms(rho, a, b, c, kbar):
     return b - 0.5 * a + 0.5 * (1.0 - rho * rho) * a * a, rho * a + c * kbar
 
 
-def _riccati_march(
-    convolve: _Convolution, C: float, q: np.ndarray, grid: np.ndarray
-) -> np.ndarray:
+def _riccati_march(tau_grid: _TauGrid, C: float, q: np.ndarray) -> np.ndarray:
     """The product-integration march of the convolution Riccati equation,
     node by node in increasing j, so a refusal names the first failing tau.
     The known part of (kappa * g)(tau_j), the terms W[j-i] g[i] for i < j
-    less E[j] g[0], is one BLAS dot of g[:j] against W[1:] reversed.
+    less E[j] g[0], is one dot of g[:j] against W[1:] reversed, summed by
+    ``np.einsum`` in a fixed order: a BLAS dot is threaded over long vectors
+    and rounds by the thread count.
     """
-    W = convolve.W
+    W, grid = tau_grid.W, tau_grid.grid
     w0 = float(W[0])
     reversed_W = W[:0:-1].copy()  # W[n], ..., W[1]: node j reads its last j entries
     g = np.empty_like(q)
     g[0] = C + 0.5 * q[0] ** 2  # boundary: convolution vanishes at tau = 0
-    known = (q + w0 * C - convolve.E * g[0]).tolist()
+    known = (q + w0 * C - tau_grid.E * g[0]).tolist()
     for j in range(1, W.size):
         # k = q[j] + P + W0 C, P the known part of (kappa * g)(tau_j); then
         # x = C + u^2/2 with u = q[j] + P + W0 x solves (W0/2) u^2 - u + k = 0
-        k = known[j] + float(reversed_W[-j:] @ g[:j])
+        k = known[j] + float(np.einsum("i,i->", reversed_W[-j:], g[:j]))
         D = 1.0 - 2.0 * w0 * k
         if D < 0.0:
             raise DomainError(
@@ -618,11 +589,11 @@ def _riccati_march(
 
 
 def _riccati_sweep(
-    convolve: _Convolution, C: float, q: np.ndarray, start: Optional[np.ndarray] = None
+    tau_grid: _TauGrid, C: float, q: np.ndarray, start: Optional[np.ndarray] = None
 ) -> Optional[np.ndarray]:
     """The march's g by whole-grid Picard sweeps g <- C + (q + kappa * g)^2 / 2,
-    each one ``convolve`` of the last iterate, or None where the sweeps do not
-    certify it.
+    each one convolution of the last iterate by ``tau_grid``, or None where
+    the sweeps do not certify it.
 
     The equation is lower triangular, so the sweeps settle node by node.  They
     certify when, within ``_SWEEP_CAP`` sweeps, every iterate stays finite and
@@ -636,7 +607,7 @@ def _riccati_sweep(
     work = np.empty_like(q)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_SWEEP_CAP):
-            u = convolve(g)
+            u = tau_grid(g)
             u += q
             swept = np.multiply(0.5, u)
             swept *= u  # u^2/2
@@ -647,21 +618,16 @@ def _riccati_sweep(
             step = np.abs(np.subtract(swept, g, out=work), out=work).max()
             g = swept
             if step <= _ROUNDING_FLOOR * (abs(C) + top):
-                return g if np.all(convolve.W[0] * u < 1.0) else None
+                return g if np.all(tau_grid.W[0] * u < 1.0) else None
     return None
 
 
 def _riccati_g(
-    convolve: _Convolution,
-    C: float,
-    q: np.ndarray,
-    grid: np.ndarray,
-    start: Optional[np.ndarray] = None,
+    tau_grid: _TauGrid, C: float, q: np.ndarray, start: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """g on ``grid``, whose convolution is ``convolve``: the sweeps' where they
-    certify it, else the march's."""
-    g = _riccati_sweep(convolve, C, q, start)
-    return _riccati_march(convolve, C, q, grid) if g is None else g
+    """g on ``tau_grid``: the sweeps' where they certify it, else the march's."""
+    g = _riccati_sweep(tau_grid, C, q, start)
+    return _riccati_march(tau_grid, C, q) if g is None else g
 
 
 def _check_inputs(rho: float, n_steps: int, values: Dict[str, float], window: float,
@@ -706,8 +672,8 @@ def solve_riccati(
     _check_inputs(rho, n_steps, values, horizon, "horizon must be positive")
     tau_grid = _tau_grid(kernel, horizon, n_steps)
     C, q = _riccati_terms(rho, a, b, c, tau_grid.kbar(delta))
-    g = _riccati_g(tau_grid.convolve, C, q, tau_grid.grid)
-    half = _riccati_g(tau_grid.half, C, q[::2], tau_grid.grid[::2], g[::2])
+    g = _riccati_g(tau_grid, C, q)
+    half = _riccati_g(tau_grid.half, C, q[::2], g[::2])
     tolerance = float(np.max(np.abs(g[::2] - half)))
     return RiccatiSolution(
         grid=tau_grid.grid,
@@ -729,7 +695,7 @@ def _refined_convolution(
     finer uniform grid, v the PCHIP interpolant of g: the fine-grid sum,
     evaluated only at the nodes of ``grid``.
 
-    With R = refine and Wf, Ef the fine weights (``_conv_weights``), the sum
+    With R = refine and Wf, Ef the fine weights (those of ``_TauGrid``), the sum
     at node j splits over m = R p + r.  Phase r = 0 pairs Wf[R p] with
     g[j - p].  A phase r >= 1 reads v at t_r = (R - r)/R of the way along
     cubic piece i = j - p - 1, in Hermite form
@@ -765,7 +731,7 @@ def _refined_convolution(
         if hi == n:
             fine[-1] = grid[-1]
         m0, m1 = kernel.moments(fine)
-        B = fine[1:] * m0  # left-node weights of the fine subintervals, as in _conv_weights
+        B = fine[1:] * m0  # left-node weights of the fine subintervals, as in _TauGrid
         B -= m1
         B /= step
         A = m0
@@ -935,7 +901,7 @@ def spx_exponent(
     values = {"a": a, "b": b, "c": c, "delta": delta, "x": x, "zeta": zeta, "t": t, "T": T}
     _check_inputs(rho, n_steps, values, T - t, "need t < T")
     tau_grid = _tau_grid(kernel, T - t, n_steps)
-    leaves = _leaf_states(tau_grid.convolve, rho, tau_grid.kbar(delta))
+    leaves = _leaf_states(tau_grid, rho, tau_grid.kbar(delta))
     states = cumulant_states(_spx_seeds(leaves["Y"], leaves["zeta"], a, b, c), order)
     grid = tau_grid.grid
     h = np.zeros_like(grid)

@@ -440,8 +440,9 @@ def cmd_mc(args) -> dict:
     max_order = _flag(
         "max-order", args.max_order, 1, "the cumulant estimates", MAX_CUMULANT_ORDER
     )
+    seed = _flag("seed", args.seed, 0, "the random generator", 2**64 - 1)
     # a refused config raises ValueError, which exits 2 like a UsageError
-    samples = simulate(SimConfig(args.model, params, paths, steps, args.T, args.seed))
+    samples = simulate(SimConfig(args.model, params, paths, steps, args.T, seed))
     result: Dict[str, object] = {
         "columns": sorted(samples.columns),
         "n_paths": samples.n,
@@ -505,6 +506,8 @@ def cmd_verify(args) -> Tuple[dict, int]:
         if not (optional and args.paths == 0):
             purpose = "the Monte Carlo check" + (" (0 skips it)" if optional else "")
             _flag("paths", args.paths, MIN_PATHS, purpose, MAX_PATHS)
+    if args.seed is not None:
+        _flag("seed", args.seed, 0, "the random generator", 2**64 - 1)
     report = run_suite(args.suite, **kwargs)
     return report.to_dict(), (0 if report.passed else 1)
 

@@ -14,7 +14,7 @@ its flags without loading either; :mod:`.affine`, :mod:`.mc` and
 import math
 
 MIN_STEPS = 8  # fewest grid steps ``solve_riccati`` takes
-MAX_STEPS = 65536  # most; a solve at the cap takes about 0.07 s, or 0.9 s by the march
+MAX_STEPS = 65536  # most; a solve at the cap takes about 0.06 s, or 1.5 s by the march
 MIN_PATHS = 100
 # 256 blocks of 2^16 paths: Heston's three float64 columns then take 384 MiB
 MAX_PATHS = 1 << 24

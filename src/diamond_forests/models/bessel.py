@@ -107,11 +107,11 @@ def bessel_gamma(
         raise ValueError("mu must be finite on the grid")
     if np.any(mu_vals < 0):
         raise DomainError("weight mu must be nonnegative")
-    from ..affine import AffineState, KernelSpec, _Convolution
+    from ..affine import AffineState, KernelSpec, _TauGrid
     from ..recursion import cumulant_states
 
-    convolve = _Convolution(KernelSpec.flat(2.0), np.linspace(0.0, T - t, grid))
-    states = cumulant_states({1: AffineState(convolve, 0.0, 0.0, mu_vals[::-1], None)}, n_max // 2)
+    tau_grid = _TauGrid(KernelSpec.flat(2.0), np.linspace(0.0, T - t, grid))
+    states = cumulant_states({1: AffineState(tau_grid, 0.0, 0.0, mu_vals[::-1], None)}, n_max // 2)
     gammas = {2 * m: state.w[::-1] for m, state in states.items()}
     return BesselGamma(grid=s, gammas=gammas, dirac=False)
 

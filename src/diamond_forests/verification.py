@@ -351,7 +351,7 @@ def suite_heston_riccati(steps: int = 4096) -> SuiteReport:
     for T in (0.05, 0.1, 0.2):
         # the trees Y<>(Y<>Y) and (Y<>Y)<>(Y<>Y) as diamonds of affine states
         tau_grid = _tau_grid(pk, T, 2048)
-        y = _leaf_states(tau_grid.convolve, -0.7, tau_grid.kbar(0.1))["Y"]
+        y = _leaf_states(tau_grid, -0.7, tau_grid.kbar(0.1))["Y"]
         cherry = y.diamond(y)
         xi = crv(T - tau_grid.grid)
         for k, state in ((3, y.diamond(cherry)), (4, cherry.diamond(cherry))):

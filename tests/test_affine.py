@@ -3,6 +3,9 @@
 import gc
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -216,7 +219,7 @@ def tree_h(tree, kernel, rho, delta, horizon, n_steps=1024):
     """The tau-grid and the weight h of one tree, joined node by node: the
     single-tree loading that ``tree_value`` integrates."""
     tau_grid = affine._tau_grid(kernel, horizon, n_steps)
-    leaves = affine._leaf_states(tau_grid.convolve, rho, tau_grid.kbar(delta))
+    leaves = affine._leaf_states(tau_grid, rho, tau_grid.kbar(delta))
     return tau_grid.grid, affine._tree_state(tree, leaves).h
 
 
@@ -353,7 +356,7 @@ def test_kernel_convolve_matches_the_direct_sum_at_benchmark_sizes(kern, n):
     # sum of the same weights W[m] = A[m-1] + B[m], less E = (B, 0) on v[0];
     # on n - 1 steps the FFT is 2 (n - 1) long, wrapping only onto entry 0
     grid = np.linspace(0.0, 1.0, n)
-    assert affine._Convolution(kern, grid).length == 2 * (n - 1)
+    assert affine._TauGrid(kern, grid).length == 2 * (n - 1)
     v = np.random.default_rng(n).uniform(-1.0, 1.0, n)
     m0, m1 = kern.moments(grid)
     B = (grid[1:] * m0 - m1) / (grid[1] - grid[0])
@@ -409,9 +412,9 @@ def direct_march(kern, rho, a, b, c, delta, grid):
 
 
 def march_inputs(kern, rho, a, b, c, delta, grid):
-    """The convolution and (C, q) that the sweeps and the march take on a grid."""
+    """The grid object and (C, q) that the sweeps and the march take on a grid."""
     C, q = affine._riccati_terms(rho, a, b, c, kappa_bar(kern, grid, delta))
-    return affine._Convolution(kern, grid), C, q
+    return affine._TauGrid(kern, grid), C, q
 
 
 @pytest.mark.parametrize("kern", [EXP, POW], ids=["exp", "power"])
@@ -423,7 +426,7 @@ def test_blocked_march_matches_the_direct_march(kern, n):
     sol = solve_riccati(kern, rho, a, b, c, delta, horizon=1.0, n_steps=n)
     want = direct_march(kern, rho, a, b, c, delta, sol.grid)
     assert np.max(np.abs(sol.g - want)) <= 1e-15
-    march = affine._riccati_march(*march_inputs(kern, rho, a, b, c, delta, sol.grid), sol.grid)
+    march = affine._riccati_march(*march_inputs(kern, rho, a, b, c, delta, sol.grid))
     assert np.max(np.abs(march - want)) <= 1e-15
 
 
@@ -437,7 +440,7 @@ def test_solve_falls_back_to_the_march_where_sweeps_do_not_certify():
     inputs = march_inputs(*SLOW_SWEEPS, grid)
     assert affine._riccati_sweep(*inputs) is None
     sol = solve_riccati(*SLOW_SWEEPS, horizon=1.05, n_steps=1024)
-    assert sol.g.tobytes() == affine._riccati_march(*inputs, grid).tobytes()
+    assert sol.g.tobytes() == affine._riccati_march(*inputs).tobytes()
 
 
 @pytest.mark.parametrize("n", [1024, 4096])
@@ -448,13 +451,33 @@ def test_march_matches_the_direct_march_where_sweeps_do_not_certify(n):
     assert np.max(np.abs(sol.g - want)) <= 2e-14 * np.max(np.abs(want))
 
 
+def test_march_gives_one_g_under_any_blas_thread_count():
+    # OpenBLAS threads a dot over a long history and rounds by the thread
+    # count; the march sums in a fixed order, so each fresh interpreter's
+    # fallback solve gives the same bits
+    grid = np.linspace(0.0, 1.05, 16385)
+    assert affine._riccati_sweep(*march_inputs(*SLOW_SWEEPS, grid)) is None
+    code = ("import hashlib; from diamond_forests.affine import KernelSpec, solve_riccati; "
+            f"g = solve_riccati(*{SLOW_SWEEPS!r}, horizon=1.05, n_steps=16384).g; "
+            "print(hashlib.sha256(g.tobytes()).hexdigest())")
+    src = os.path.dirname(os.path.dirname(affine.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
+
+
 def test_sweeps_refuse_a_settled_repelling_root():
     # node 8 is set to the other root of its step quadratic, u = (1 + sqrt D)/W0,
     # so the sweep from there settles at once and only W0 u < 1 can refuse it
     kern, rho, a, b, c, delta = KernelSpec.power_law(1.0, 0.55), -0.7, 0.25, 0.1, 0.1, 0.1
     grid = np.linspace(0.0, 1.0, 9)
     convolve, C, q = inputs = march_inputs(kern, rho, a, b, c, delta, grid)
-    start = affine._riccati_march(*inputs, grid)
+    start = affine._riccati_march(*inputs)
     W, E = convolve.W, convolve.E
     k = q[8] + W[8:0:-1] @ start[:8] - E[8] * start[0] + W[0] * C
     u = (1.0 + math.sqrt(1.0 - 2.0 * W[0] * k)) / W[0]
@@ -474,7 +497,7 @@ def test_sweeps_certify_where_g_is_its_constant_term():
     assert inputs[1] == -0.5
     g = affine._riccati_sweep(*inputs)
     assert g is not None
-    assert np.max(np.abs(g - affine._riccati_march(*inputs, grid))) <= 1e-15
+    assert np.max(np.abs(g - affine._riccati_march(*inputs))) <= 1e-15
 
 
 def test_solve_sweeps_without_the_march(monkeypatch):
@@ -526,7 +549,7 @@ def test_riccati_march_solves_the_discrete_equation_at_the_step_cap(kern):
     a, b, c, rho, delta = 0.25, 0.1, 0.1, -0.7, 0.1
     grid = np.linspace(0.0, 1.0, MAX_STEPS + 1)
     convolve, C, q = inputs = march_inputs(kern, rho, a, b, c, delta, grid)
-    g = affine._riccati_march(*inputs, grid)
+    g = affine._riccati_march(*inputs)
     defect = C + 0.5 * (q + convolve(g)) ** 2 - g
     assert np.max(np.abs(defect)) <= 1e-15
 
@@ -1033,7 +1056,7 @@ def test_expansion_takes_order_minus_two_convolutions(kern, monkeypatch):
     a, b, c, rho, delta = 0.2, 0.1, 0.1, -0.6, 0.1
     crv = ForwardVarianceCurve.sampled([0.0, 0.5, 1.0], [0.04, 0.05, 0.03])
     orders = spx_g_expansion(8).orders
-    convolve = affine._Convolution.__call__
+    convolve = affine._TauGrid.__call__
     calls = []
 
     def counting(self, values):
@@ -1042,7 +1065,7 @@ def test_expansion_takes_order_minus_two_convolutions(kern, monkeypatch):
 
     got = {}
     for order in (2, 5, 6, 8):
-        monkeypatch.setattr(affine._Convolution, "__call__", counting)
+        monkeypatch.setattr(affine._TauGrid, "__call__", counting)
         got[order] = spx_expansion_value(order, orders, kern, rho, a, b, c, delta, crv,
                                          x=0.3, zeta=0.2, t=0.0, T=1.0, n_steps=512)
         monkeypatch.undo()
@@ -1082,7 +1105,7 @@ def test_one_request_builds_its_grid_once(kern, monkeypatch):
     # the solve, its residual and the exponent share one _TauGrid: the full
     # and the half-grid convolution are built once each and kappa_bar once
     orders = spx_g_expansion(5).orders
-    build, evaluate = affine._Convolution.__init__, affine.kappa_bar
+    build, evaluate = affine._TauGrid.__init__, affine.kappa_bar
     builds, evaluations = [], []
 
     def counting_build(self, *args):
@@ -1093,7 +1116,7 @@ def test_one_request_builds_its_grid_once(kern, monkeypatch):
         evaluations.append(1)
         return evaluate(*args)
 
-    monkeypatch.setattr(affine._Convolution, "__init__", counting_build)
+    monkeypatch.setattr(affine._TauGrid, "__init__", counting_build)
     monkeypatch.setattr(affine, "kappa_bar", counting_kappa_bar)
     affine._tau_grid.cache_clear()
     bench_like_request(kern, 0.1, 1024, orders)
@@ -1129,12 +1152,26 @@ def test_shared_grid_arrays_are_read_only():
     sol = solve_riccati(POW, -0.7, 0.25, 0.1, 0.1, 0.1, horizon=1.0, n_steps=64)
     tau_grid = affine._tau_grid(POW, 1.0, 64)
     assert sol.grid is tau_grid.grid
-    convolutions = (tau_grid.convolve, tau_grid.half)
-    arrays = [tau_grid.grid, tau_grid.kbar(0.1), *tau_grid._antiderivatives]
-    arrays += [array for conv in convolutions for array in (conv.W, conv.E, conv.spectrum)]
+    arrays = [tau_grid.kbar(0.1)]
+    arrays += [array for grid in (tau_grid, tau_grid.half)
+               for array in (grid.grid, grid.W, grid.E, grid.spectrum)]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
+
+
+@pytest.mark.parametrize("n", [8, 1000, 4096, MAX_STEPS])
+@pytest.mark.parametrize("kern", [EXP, POW, FLAT], ids=["exp", "power", "flat"])
+def test_half_grid_is_the_grid_of_the_even_nodes(kern, n):
+    # the half grid reads the even nodes of the shared grid, a strided view;
+    # built on its own from a compact copy of them it has the same bits
+    affine._tau_grid.cache_clear()
+    tau_grid = affine._tau_grid(kern, 1.3, n)
+    assert tau_grid.half is tau_grid.half
+    assert np.shares_memory(tau_grid.half.grid, tau_grid.grid)
+    alone = affine._TauGrid(kern, np.linspace(0.0, 1.3, n + 1)[::2].copy())
+    for name in ("grid", "W", "E", "spectrum"):
+        assert getattr(tau_grid.half, name).tobytes() == getattr(alone, name).tobytes(), name
 
 
 def bench_like_params(kern, c):

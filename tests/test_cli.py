@@ -529,6 +529,27 @@ def test_out_of_range_flags_name_the_flag(argv, flag, keyword, capsys):
     assert flag in err and keyword not in err
 
 
+@pytest.mark.parametrize("seed, bound", [("-1", ">= 0"), (str(2**64), f"<= {2**64 - 1}")],
+                         ids=["negative", "past-64-bits"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc", "--model", "BMdrift", "--paths", "100"],
+        ["verify", "levy", "--paths", "100"],
+        ["verify", "bessel", "--paths", "100"],
+        ["verify", "mc-cross", "--paths", "100"],
+        ["verify", "chaos2"],
+    ],
+    ids=["mc", "verify-levy", "verify-bessel", "verify-mc-cross", "verify-chaos2"],
+)
+def test_seed_outside_64_bits_names_the_flag(argv, seed, bound, capsys):
+    # every command takes one seed range, refused before anything runs
+    assert cli.main([*argv, "--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert f"--seed must be {bound}" in err, err
+    assert "64 bits" not in err and "non-negative" not in err
+
+
 @pytest.mark.parametrize(
     "argv, low, high, code_at_low",
     [
